@@ -43,6 +43,13 @@ def test_traced_output_equals_untraced_and_wrappers_are_removed(name: str) -> No
     assert outcome[0].output_digest == plain.output_digest == harness.expected
     assert harness.failed == 0, harness.failures
     assert tracer.wrapped_attributes() == []
+    # The entry point's own time is not attributed to any layer.
+    layers = outcome[1]
+    assert 0.0 < layers["trace.coverage"] < 1.0
+    assert layers["trace.unattributed_s"] > 0.0
+    assert layers["trace.unattributed_s"] == pytest.approx(
+        outcome[0].cold_s * (1.0 - layers["trace.coverage"])
+    )
 
 
 def test_wrappers_are_installed_only_inside_the_traced_block() -> None:

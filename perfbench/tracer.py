@@ -37,6 +37,10 @@ from workloads import Iteration
 #: Marker set on every wrapper, so a check can prove none is left behind.
 WRAPPED_MARKER = "__perfbench_wrapped__"
 
+#: Spans of the entry points a workload calls.  They enclose the whole
+#: timed window, so time under them alone is not attributed to a layer.
+ENTRY_POINTS = frozenset({"pipeline.run", "sweep.run", "sweep.collect"})
+
 #: Packet columns a streaming transport ships to each worker.
 SHIPPED_COLUMNS = ("timestamps", "flow_ids", "sizes_bytes")
 
@@ -83,12 +87,25 @@ class Recorder:
         return times
 
     def covered(self, start: float, end: float) -> float:
-        """Wall time of ``[start, end]`` spent under any top-level span."""
+        """Wall time of ``[start, end]`` spent under a layer span.
+
+        The outermost layer spans -- those with no layer span, only entry
+        points, above them -- are disjoint, so their clipped durations add
+        up.  An entry point's self time is left out.
+        """
         return sum(
             max(min(stop, end) - max(begin, start), 0.0)
-            for _, begin, stop, parent in self.spans
-            if parent < 0
+            for index, (name, begin, stop, _) in enumerate(self.spans)
+            if name not in ENTRY_POINTS and not self._under_layer(index)
         )
+
+    def _under_layer(self, index: int) -> bool:
+        parent = self.spans[index][3]
+        while parent >= 0:
+            if self.spans[parent][0] not in ENTRY_POINTS:
+                return True
+            parent = self.spans[parent][3]
+        return False
 
 
 def _mark(wrapper: Callable, original: Callable) -> Callable:
@@ -296,7 +313,9 @@ def layer_metrics(
 
     Times are self times summed over the iteration: its cold execution
     and its warm re-answers.  ``trace.coverage`` is the share of the
-    cold execution (the timed ``iter_s``) spent under layer spans.
+    cold execution (the timed ``iter_s``) spent under layer spans below
+    the entry points; the rest, ``trace.unattributed_s``, includes the
+    entry points' own time (``pipeline.package_s`` among it).
 
     ``snapshot`` is the library's own :mod:`repro.telemetry` snapshot of
     the same iteration: the group-by span (an inline ``np.unique`` with
@@ -348,8 +367,8 @@ def layer_metrics(
         "sweep.cell_s": span_total("sweep.cell") / cells if cells else 0.0,
         "sweep.cells_executed": int(snapshot.get("counters", {}).get("sweep.cells.executed", 0)),
         "sweep.cells_cached": int(snapshot.get("counters", {}).get("sweep.cells.hit", 0)),
-        "trace.coverage": min(covered / iteration_s, 1.0) if iteration_s > 0 else 0.0,
-        "trace.unattributed_s": max(iteration_s - covered, 0.0),
+        "trace.coverage": covered / iteration_s,
+        "trace.unattributed_s": iteration_s - covered,
     }
     labels = {
         "parallel.backend": gauges.get("parallel.backend", "serial"),
