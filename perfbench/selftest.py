@@ -76,3 +76,14 @@ def test_paper_quantities_repeat_exactly(name: str) -> None:
     assert first[1]["simulation.ranking_pairs"] > 0
     if name == "monitor_bounded":
         assert first[1]["flows.evictions"] > 0
+
+
+def test_no_process_outlives_a_run(capsys: pytest.CaptureFixture[str]) -> None:
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    assert run.main(["--workload", "sweep_cold_warm", "--seconds", "0", "--trace", "1"]) == 0
+    assert '"correct": true' in capsys.readouterr().out.splitlines()[-1]
+    assert multiprocessing.active_children() == []
+    # The shared-memory transport started the resource tracker; it was stopped.
+    assert resource_tracker._resource_tracker._pid is None

@@ -24,11 +24,12 @@ from repro.store import RunSpec, RunStore
 WARM_REPEATS = 20
 
 # Traces are cut below the paper's 900 s so that one iteration takes about
-# half a second on a 2-CPU host.  A 24 s run then holds 40-60 iterations
-# and ``iter_s_tail`` (the highest percentile with ten samples beyond it)
-# sits near p75-p80; with 22 iterations or fewer it would be the median
-# or below.  What sets the layer mix is per 60 s bin (flows per bin, table
-# occupancy, evictions per bin), so it is kept.
+# a third of a second on a 2-CPU host.  A 26 s run then holds 50-80
+# iterations: its fastest (``iter_s``) has many chances to fall in a calm
+# moment of a shared host, and the report's tail (the highest percentile
+# with ten samples beyond it) sits near p80.  What sets the layer mix is
+# per 60 s bin (flows per bin, table occupancy, evictions per bin), so it
+# is kept.
 
 #: The paper's sweep of Figs. 12-15: sampling rates evaluated together.
 PAPER_RATES = (0.001, 0.01, 0.1, 0.5)
