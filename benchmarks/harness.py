@@ -364,58 +364,6 @@ def _outcomes_identical(left, right) -> bool:
     )
 
 
-def bench_batch_transport(args: argparse.Namespace) -> dict:
-    """Zero-copy shared-memory batch transport vs pickle, bit-checked.
-
-    Runs the same two-sampler plan serially and through the process
-    backend at two workers with each batch transport, asserts every
-    outcome matches the serial reference bit for bit, and records the
-    transports actually used (the degradation chain makes ``"shm"``
-    fall back where ``/dev/shm`` is unusable).  On single-core machines
-    the speedup number measures transport overhead, not parallelism —
-    the section says so explicitly.
-    """
-    from repro.pipeline.parallel import probe_shared_memory
-
-    def fresh_plan():
-        return _pipeline(args, rates=(0.1, 0.5), runs=2).plan()
-
-    serial_seconds, serial = _timed(lambda: fresh_plan().execute(backend="serial"))
-    section: dict = {"jobs": 2, "serial_seconds": round(serial_seconds, 4)}
-    shm_error = probe_shared_memory()
-    for transport in ("pickle", "shm"):
-        if transport == "shm" and shm_error is not None:
-            section[transport] = {"unavailable": shm_error}
-            continue
-        # Best of two passes: on few-core machines the producer/consumer
-        # scheduling jitter dwarfs the transport cost on any single run.
-        seconds = None
-        for _ in range(2):
-            plan = fresh_plan()
-            attempt, outcome = _timed(
-                lambda: plan.execute(backend="process", jobs=2, transport=transport)
-            )
-            seconds = attempt if seconds is None else min(seconds, attempt)
-            identical = _outcomes_identical(outcome, serial)
-            if not identical:
-                raise SystemExit(
-                    f"FATAL: {transport} transport diverges from serial — transport regression"
-                )
-        section[transport] = {
-            "seconds": round(seconds, 4),
-            "transport_used": plan.transport_used,
-            "fallback_reason": plan.fallback_reason,
-            "bit_identical": identical,
-        }
-    pickle_seconds = section["pickle"].get("seconds")
-    shm_seconds = section.get("shm", {}).get("seconds")
-    if pickle_seconds and shm_seconds:
-        section["shm_speedup"] = round(pickle_seconds / shm_seconds, 3)
-    if _single_core():
-        section["note"] = SINGLE_CORE_NOTE
-    return section
-
-
 def bench_monitor(args: argparse.Namespace) -> dict:
     """Fused vs unfused monitor-in-the-loop pass, bit-checked.
 
@@ -830,23 +778,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{end_to_end['packets']:,} packets through source+samplers+accounting in "
             f"{end_to_end['seconds']}s -> {end_to_end['packets_per_second']:,} pkt/s"
-        )
-
-    if wanted("batch_transport"):
-        print(f"transport   ... ", end="", flush=True)
-        report["results"]["batch_transport"] = transport = bench_batch_transport(args)
-        pickle_part = transport.get("pickle", {})
-        shm_part = transport.get("shm", {})
-        print(
-            f"serial {transport['serial_seconds']}s, "
-            f"pickle {pickle_part.get('seconds', 'n/a')}s, "
-            f"shm {shm_part.get('seconds', shm_part.get('unavailable', 'n/a'))}s"
-            + (
-                f" -> shm {transport['shm_speedup']}x over pickle"
-                if "shm_speedup" in transport
-                else ""
-            )
-            + (f" [{transport['note']}]" if "note" in transport else "")
         )
 
     if wanted("sweep"):

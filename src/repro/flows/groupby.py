@@ -19,14 +19,12 @@ perform that reduction:
   fall back to Fibonacci hashing with linear probing.
 
 Both kernels are pure NumPy, so they run everywhere the reference path
-runs; when Numba is installed the probing loop is JIT-compiled, but
-nothing requires it.  The two backends are bit-identical by
-construction: packet counts and byte sums are integer additions and
-first/last timestamps are floating min/max selections, none of which
-depend on accumulation order, and both backends emit codes in
-ascending order.  ``tests/test_groupby.py`` asserts the equivalence
-property-based, including adversarial codes that collide modulo the
-table size.
+runs.  The two backends are bit-identical by construction: packet
+counts and byte sums are integer additions and first/last timestamps
+are floating min/max selections, none of which depend on accumulation
+order, and both backends emit codes in ascending order.
+``tests/test_groupby.py`` asserts the equivalence property-based,
+including adversarial codes that collide modulo the table size.
 
 >>> import numpy as np
 >>> acc = HashAccumulator()
@@ -40,14 +38,6 @@ table size.
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit  # type: ignore[import-not-found]
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the supported default
-    _njit = None
-    HAVE_NUMBA = False
 
 #: Sentinel marking an unoccupied slot in a probing table.  A real key
 #: equal to the sentinel is tracked in a scalar side-car instead.
@@ -171,29 +161,6 @@ def _probe_slots(keys: np.ndarray, codes: np.ndarray, shift: int) -> np.ndarray:
         unresolved = unresolved[keep]
         probe = (probe[keep] + 1) & mask
     return slots
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_njit(cache=True)
-    def _probe_slots_jit(keys, codes, shift):  # type: ignore[no-untyped-def]
-        mask = keys.size - 1
-        out = np.empty(codes.size, dtype=np.int64)
-        for i in range(codes.size):
-            code = codes[i]
-            slot = np.int64((np.uint64(code) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(shift))
-            while True:
-                key = keys[slot]
-                if key == code:
-                    break
-                if key == EMPTY_SLOT:
-                    keys[slot] = code
-                    break
-                slot = (slot + 1) & mask
-            out[i] = slot
-        return out
-
-    _probe_slots = _probe_slots_jit  # noqa: F811 - JIT path replaces the NumPy loop
 
 
 class HashAccumulator:
@@ -557,7 +524,6 @@ __all__ = [
     "DENSE_SPAN_LIMIT",
     "EMPTY_SLOT",
     "HASH_MULTIPLIER",
-    "HAVE_NUMBA",
     "HashAccumulator",
     "aggregate_codes",
     "sort_group_index",

@@ -100,12 +100,12 @@ class PacketBatch:
     ) -> "PacketBatch":
         """Wrap columns that already satisfy every batch invariant.
 
-        For transport endpoints rebuilding a batch that was validated
-        once on the producer side (``float64``/``int64``/``int32``
-        dtypes, sorted non-negative timestamps, positive sizes): the
-        constructor's O(n) checks are skipped, nothing is copied.
-        Feeding unchecked data through this bypass voids the engine
-        fast paths' assumptions — use the constructor instead.
+        For sources assembling a batch from columns they built valid
+        (``float64``/``int64``/``int32`` dtypes, sorted non-negative
+        timestamps, positive sizes): the constructor's O(n) checks are
+        skipped, nothing is copied.  Feeding unchecked data through
+        this bypass voids the engine fast paths' assumptions — use the
+        constructor instead.
         """
         batch = cls.__new__(cls)
         batch.timestamps = timestamps

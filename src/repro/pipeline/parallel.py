@@ -11,40 +11,21 @@ through a pluggable backend:
 * ``"serial"`` — all cells in one batch, in process (the reference
   path: one expansion, one pass over the stream);
 * ``"process"`` — one batch per worker via
-  :class:`concurrent.futures.ProcessPoolExecutor`; each worker replays
-  the *same* packet expansion (drawn from the same entropy, so it is
-  bit-identical everywhere) and evaluates only its cells;
+  :class:`concurrent.futures.ProcessPoolExecutor`; no packets cross the
+  process boundary: each worker *replays* the same packet expansion
+  from the plan's shared entropy (so it is bit-identical everywhere)
+  and evaluates only its cells;
 * ``"auto"`` — picks ``"process"`` when the workload is large enough to
   amortise process start-up (and the plan is picklable), ``"serial"``
-  otherwise.
-
-The process backend additionally chooses a *batch transport* — how the
-packet stream reaches the workers:
-
-* ``"replay"`` — no packets cross the process boundary: every worker
-  re-derives the expansion from the shared entropy (the historical
-  behaviour, duplicating the expansion cost per worker);
-* ``"pickle"`` — the parent expands once and ships every
-  :class:`~repro.flows.packets.PacketBatch` to each worker through a
-  bounded queue of pickled column tuples (:class:`PickleBatchChannel`);
-* ``"shm"`` — the parent expands once and ships batch columns through
-  parent-owned ``multiprocessing.shared_memory`` ring buffers
-  (:class:`SharedMemoryBatchChannel`) — no serialisation of the packet
-  columns at all, just two memcpys per batch per worker;
-* ``"auto"`` — prefers ``"shm"``, degrades to ``"pickle"`` when shared
-  memory is unavailable (no ``/dev/shm``, sandboxed) or the chunk size
-  is unbounded, and to ``"replay"`` when streaming cannot be set up.
-  The degradation chain is recorded on the plan
-  (:attr:`ExecutionPlan.transport_used`,
-  :attr:`ExecutionPlan.fallback_reason`) — never silent.
+  otherwise.  A downgrade is recorded in
+  :attr:`ExecutionPlan.fallback_reason` — never silent.
 
 Because every cell's sampler generator is derived from the cell's own
-``SeedSequence`` child and the expansion entropy is shared — and the
-streaming transports ship the parent's *exact* chunks — the merged
+``SeedSequence`` child and the expansion entropy is shared, the merged
 :class:`~repro.pipeline.executor.StreamOutcome` is **bit-identical**
-across backends and transports for the same seed; merging orders rows
-by cell index, never by completion order.  The test suite asserts this
-equality.
+across backends for the same seed; merging orders rows by cell index,
+never by completion order, and :func:`merge_outcomes` checks that the
+workers' replays agree.  The test suite asserts this equality.
 
 >>> from repro.pipeline import Pipeline
 >>> result = (
@@ -65,35 +46,17 @@ import copy
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import telemetry
-from ..flows.packets import PacketBatch
-from ..traces.source import DEFAULT_CHUNK_PACKETS, PacketSource
+from ..traces.source import PacketSource
 from .executor import StreamOutcome, run_stream
-
-if TYPE_CHECKING:
-    from ..traces.flow_trace import FlowLevelTrace
 
 #: Backend names accepted by :meth:`ExecutionPlan.execute`.
 BACKENDS = ("auto", "serial", "process")
-
-#: Batch-transport names accepted by :meth:`ExecutionPlan.execute` for
-#: the process backend.
-TRANSPORTS = ("auto", "replay", "pickle", "shm")
-
-#: Ring slots per worker for the shared-memory transport: enough to keep
-#: the producer ahead of a consumer without unbounded buffering.
-SHM_SLOTS_PER_WORKER = 4
-
-#: Seconds a transport waits for the peer before declaring it dead.
-TRANSPORT_TIMEOUT_S = 120.0
 
 #: Minimum workload (total packets x cells, i.e. per-packet sampling
 #: decisions) below which ``"auto"`` stays serial: under this size the
@@ -172,25 +135,15 @@ class ExecutionPlan:
     top_t: int
     chunk_packets: int | None
     #: Set by :meth:`execute` when the ``"auto"`` backend downgraded to
-    #: serial because the plan could not be pickled, or when the
-    #: ``"auto"`` transport degraded along its chain — the downgrade is
+    #: serial because the plan could not be pickled — the downgrade is
     #: observable instead of silent.  ``None`` otherwise.
     fallback_reason: str | None = None
-    #: Batch transport the last :meth:`execute` actually used:
-    #: ``"replay"``, ``"pickle"`` or ``"shm"`` for the process backend,
-    #: ``None`` for serial execution (no transport involved).
+    #: How the last :meth:`execute` fed its workers their packets:
+    #: ``"replay"`` for the process backend, ``None`` for serial
+    #: execution (no workers involved).
     transport_used: str | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def trace(self) -> FlowLevelTrace | None:
-        """The flow-level trace behind the source, when there is one.
-
-        ``None`` for packet-level and composed sources; kept for
-        callers that predate the :class:`PacketSource` abstraction.
-        """
-        return getattr(self.source, "trace", None)
-
     @property
     def num_cells(self) -> int:
         """Number of independent (sampler spec, run) streams."""
@@ -291,44 +244,7 @@ class ExecutionPlan:
             resolved_jobs = 1
         return backend, resolved_jobs
 
-    def resolve_transport(self, transport: str = "auto") -> tuple[str, str | None]:
-        """Normalise a transport request into a concrete choice.
-
-        Parameters
-        ----------
-        transport:
-            One of :data:`TRANSPORTS`.  ``"auto"`` prefers ``"shm"``
-            and degrades to ``"pickle"`` when shared memory is
-            unusable or the plan streams unbounded chunks (a single
-            materialised chunk defeats a fixed-capacity ring).
-
-        Returns
-        -------
-        tuple[str, str | None]
-            The chosen transport and, for a degraded ``"auto"``
-            request, the one-line reason — ``None`` when the first
-            preference was usable.  Explicit requests never degrade;
-            :meth:`execute` raises instead.
-        """
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
-        if transport != "auto":
-            return transport, None
-        if self.chunk_packets is None:
-            return "pickle", "auto transport fell back to pickle: unbounded chunks"
-        problem = probe_shared_memory()
-        if problem is not None:
-            return "pickle", f"auto transport fell back to pickle: {problem}"
-        return "shm", None
-
-    def execute(
-        self,
-        backend: str = "auto",
-        jobs: int | None = None,
-        transport: str = "auto",
-    ) -> StreamOutcome:
+    def execute(self, backend: str = "auto", jobs: int | None = None) -> StreamOutcome:
         """Run every cell and merge the outcomes deterministically.
 
         Parameters
@@ -338,18 +254,12 @@ class ExecutionPlan:
         jobs:
             Worker processes for the process backend; ``None`` means one
             per CPU.
-        transport:
-            Batch transport for the process backend, one of
-            :data:`TRANSPORTS`; serial execution ignores it.  The
-            choice actually used is recorded in
-            :attr:`transport_used`.
 
         Returns
         -------
         StreamOutcome
             Per-bin metric rows for every stream, ordered by cell index
-            — bit-identical across backends and transports for the
-            same plan.
+            — bit-identical across backends for the same plan.
         """
         choice, resolved_jobs = self.resolve_backend(backend, jobs)
         self.transport_used = None
@@ -369,122 +279,22 @@ class ExecutionPlan:
             telemetry.gauge("parallel.backend", choice)
             telemetry.gauge("parallel.jobs", resolved_jobs)
         if choice == "serial":
-            parts = [_run_cell_batch(self, list(range(self.num_cells)))]
+            packed = [_run_cell_batch(self, list(range(self.num_cells)))]
         else:
-            chosen_transport, degradation = self.resolve_transport(transport)
-            if degradation is not None:
-                self.fallback_reason = degradation
-            if chosen_transport == "shm":
-                problem = probe_shared_memory()
-                if problem is not None:
-                    raise ValueError(
-                        f"shared-memory transport is unusable here ({problem}); "
-                        "run with transport='pickle' or transport='replay'"
-                    )
-            self.transport_used = chosen_transport
+            self.transport_used = "replay"
             if telemetry.enabled:
-                telemetry.gauge("parallel.transport", chosen_transport)
-            if chosen_transport == "replay":
-                batches = self.batches(resolved_jobs)
-                with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-                    if telemetry.enabled:
-                        # Children start with telemetry off; the wrapper
-                        # enables it and returns each worker's snapshot
-                        # alongside the outcome for a deterministic merge.
-                        futures = [
-                            pool.submit(_run_cell_batch_telemetry, self, batch)
-                            for batch in batches
-                        ]
-                        packed = [future.result() for future in futures]
-                        parts = [(indices, outcome) for indices, outcome, _ in packed]
-                        telemetry.absorb([snapshot for _, _, snapshot in packed])
-                    else:
-                        futures = [
-                            pool.submit(_run_cell_batch, self, batch) for batch in batches
-                        ]
-                        parts = [future.result() for future in futures]
-            else:
-                parts = self._execute_streamed(chosen_transport, resolved_jobs)
-        return merge_outcomes(parts, self.num_cells)
-
-    def _execute_streamed(
-        self, transport: str, jobs: int
-    ) -> list[tuple[list[int], StreamOutcome]]:
-        """Expand once in the parent and stream chunks to every worker.
-
-        The parent owns every transport resource: channels are created
-        here and reclaimed in the ``finally`` whatever happens to the
-        workers, so a crashed (even SIGKILLed) worker cannot leak
-        shared-memory segments.
-        """
-        context = multiprocessing.get_context()
-        batches = self.batches(jobs)
-        capacity = 2 * int(self.chunk_packets or DEFAULT_CHUNK_PACKETS)
-        results: multiprocessing.queues.Queue = context.Queue()
-        channels: list[SharedMemoryBatchChannel | PickleBatchChannel] = []
-        workers: list[multiprocessing.process.BaseProcess] = []
-        try:
-            for batch in batches:
-                channel: SharedMemoryBatchChannel | PickleBatchChannel
-                if transport == "shm":
-                    channel = SharedMemoryBatchChannel(capacity, context=context)
-                else:
-                    channel = PickleBatchChannel(context=context)
-                payload = [
-                    (cell.stream_index, cell.spec_index, cell.seed)
-                    for cell in (self.cells[index] for index in batch)
+                telemetry.gauge("parallel.transport", "replay")
+            batches = self.batches(resolved_jobs)
+            with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+                futures = [
+                    pool.submit(_run_cell_batch, self, batch, telemetry.enabled)
+                    for batch in batches
                 ]
-                worker = context.Process(
-                    target=_stream_worker,
-                    args=(
-                        channel,
-                        self.sampler_specs,
-                        payload,
-                        self.groups,
-                        self.bin_duration,
-                        self.top_t,
-                        results,
-                        telemetry.enabled,
-                    ),
-                    daemon=True,
-                )
-                worker.start()
-                channels.append(channel)
-                workers.append(worker)
-            for chunk in self.source.iter_chunks(
-                self._expand_rng(), chunk_packets=self.chunk_packets
-            ):
-                for channel in channels:
-                    channel.send(chunk)
-            for channel in channels:
-                channel.close_sending()
-            parts: list[tuple[list[int], StreamOutcome]] = []
-            snapshots: list[dict] = []
-            for _ in workers:
-                try:
-                    message = results.get(timeout=TRANSPORT_TIMEOUT_S)
-                except queue_module.Empty:
-                    raise RuntimeError(
-                        "a transport worker produced no result within "
-                        f"{TRANSPORT_TIMEOUT_S:g}s"
-                    ) from None
-                if message[0] == "error":
-                    raise RuntimeError(f"transport worker failed: {message[1]}")
-                parts.append((message[1], message[2]))
-                if len(message) > 3 and message[3] is not None:
-                    snapshots.append(message[3])
-            if snapshots:
-                telemetry.absorb(snapshots)
-            for worker in workers:
-                worker.join(TRANSPORT_TIMEOUT_S)
-            return parts
-        finally:
-            for worker in workers:
-                if worker.is_alive():
-                    worker.terminate()
-                    worker.join(5.0)
-            for channel in channels:
-                channel.unlink()
+                packed = [future.result() for future in futures]
+            if telemetry.enabled:
+                telemetry.absorb([snapshot for _, _, snapshot in packed])
+        parts = [(indices, outcome) for indices, outcome, _ in packed]
+        return merge_outcomes(parts, self.num_cells)
 
     # ------------------------------------------------------------------
     def _expand_rng(self) -> np.random.Generator:
@@ -537,310 +347,9 @@ def probe_process_spawn(timeout: float = 30.0) -> str | None:
     return None
 
 
-def probe_shared_memory() -> str | None:
-    """Why ``multiprocessing.shared_memory`` is unusable here — or ``None``.
-
-    Creates, writes, reads and unlinks a tiny segment.  Sandboxes
-    without a usable ``/dev/shm`` fail at creation time with
-    ``OSError``/``PermissionError``; the probe turns that into a
-    one-line diagnostic the ``"auto"`` transport records instead of
-    crashing mid-sweep.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=16)
-        try:
-            segment.buf[0] = 42
-            if segment.buf[0] != 42:
-                return "shared memory readback mismatch"
-        finally:
-            segment.close()
-            segment.unlink()
-    except (ImportError, OSError, PermissionError, ValueError) as error:
-        return f"{type(error).__name__}: {error}"
-    return None
-
-
-def _unregister_attached_segment(name: str) -> None:
-    """Keep the parent the sole owner of an attached segment.
-
-    ``SharedMemory(name=...)`` registers the segment with the caller's
-    resource tracker even when merely attaching (CPython < 3.13), which
-    would let a worker's tracker unlink a segment the parent still owns.
-    Attach paths undo that registration; the parent's own registration
-    stays, so segments are always reclaimed exactly once.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:  # noqa: BLE001 - best effort, never fatal
-        pass
-
-
-class SharedMemoryBatchChannel:
-    """Parent-owned ring of shared-memory slots shipping batch columns.
-
-    One channel connects the parent (producer) to one worker process
-    (consumer).  The parent pre-creates ``slots`` fixed-size shared
-    memory segments, each laid out as the three :class:`PacketBatch`
-    columns back to back (``float64`` timestamps, ``int64`` flow ids,
-    ``int32`` sizes); :meth:`send` copies a batch's columns into a free
-    slot and posts a ``(slot, count)`` descriptor, :meth:`receive` (in
-    the worker) rebuilds the batch from the slot and returns it to the
-    free ring.  Only the small descriptors are pickled — the packet
-    columns cross the process boundary as plain memcpys.
-
-    Crash safety: the *parent* creates and unlinks every segment
-    (:meth:`unlink`, idempotent, called in a ``finally``).  A worker
-    that dies mid-transfer — even ``SIGKILL`` — leaks nothing, because
-    it never owns a segment; the parent notices the stalled free ring
-    via :data:`TRANSPORT_TIMEOUT_S` and reclaims.
-
-    Parameters
-    ----------
-    capacity_packets:
-        Largest batch (in packets) one slot can carry.
-    slots:
-        Ring depth; bounds how far the producer can run ahead.
-    context:
-        Multiprocessing context for the descriptor queues.
-    """
-
-    def __init__(
-        self,
-        capacity_packets: int,
-        slots: int = SHM_SLOTS_PER_WORKER,
-        context: multiprocessing.context.BaseContext | None = None,
-    ) -> None:
-        from multiprocessing import shared_memory
-
-        if capacity_packets < 1:
-            raise ValueError(f"capacity_packets must be at least 1, got {capacity_packets}")
-        if slots < 1:
-            raise ValueError(f"slots must be at least 1, got {slots}")
-        ctx = context if context is not None else multiprocessing.get_context()
-        self.capacity = int(capacity_packets)
-        self._slot_bytes = self.capacity * (8 + 8 + 4)
-        self._segments: list | None = [
-            shared_memory.SharedMemory(create=True, size=self._slot_bytes)
-            for _ in range(slots)
-        ]
-        self.segment_names = [segment.name for segment in self._segments]
-        self._ready: multiprocessing.queues.Queue = ctx.Queue()
-        self._free: multiprocessing.queues.Queue = ctx.Queue()
-        for index in range(slots):
-            self._free.put(index)
-        self._owner = True
-        self._unlinked = False
-
-    # -- pickling: the worker re-attaches segments by name ---------------
-    def __getstate__(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "_slot_bytes": self._slot_bytes,
-            "segment_names": self.segment_names,
-            "_ready": self._ready,
-            "_free": self._free,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self._slot_bytes = state["_slot_bytes"]
-        self.segment_names = state["segment_names"]
-        self._ready = state["_ready"]
-        self._free = state["_free"]
-        self._segments = None
-        self._owner = False
-        self._unlinked = False
-
-    def _attach(self) -> None:
-        if self._segments is None:
-            from multiprocessing import shared_memory
-
-            self._segments = [
-                shared_memory.SharedMemory(name=name) for name in self.segment_names
-            ]
-            for name in self.segment_names:
-                _unregister_attached_segment(name)
-
-    def _views(self, slot: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        assert self._segments is not None
-        buffer = self._segments[slot].buf
-        ids_offset = self.capacity * 8
-        sizes_offset = ids_offset + self.capacity * 8
-        timestamps = np.ndarray(count, dtype=np.float64, buffer=buffer)
-        flow_ids = np.ndarray(count, dtype=np.int64, buffer=buffer, offset=ids_offset)
-        sizes = np.ndarray(count, dtype=np.int32, buffer=buffer, offset=sizes_offset)
-        return timestamps, flow_ids, sizes
-
-    # -- producer side ---------------------------------------------------
-    def send(self, batch: PacketBatch, timeout: float = TRANSPORT_TIMEOUT_S) -> None:
-        """Copy one batch into a free slot and post its descriptor.
-
-        Raises
-        ------
-        ValueError
-            When the batch exceeds the slot capacity.
-        TimeoutError
-            When no slot frees up within ``timeout`` seconds — the
-            consumer has stopped draining (crashed or wedged).
-        """
-        count = len(batch)
-        if count > self.capacity:
-            raise ValueError(
-                f"batch of {count} packets exceeds channel capacity {self.capacity}"
-            )
-        try:
-            slot = self._free.get(timeout=timeout)
-        except queue_module.Empty:
-            raise TimeoutError(
-                f"no free transport slot within {timeout:g}s; the worker "
-                "has stopped draining the channel"
-            ) from None
-        timestamps, flow_ids, sizes = self._views(slot, count)
-        timestamps[:] = batch.timestamps
-        flow_ids[:] = batch.flow_ids
-        sizes[:] = batch.sizes_bytes
-        self._ready.put((slot, count))
-
-    def close_sending(self) -> None:
-        """Signal end of stream to the consumer."""
-        self._ready.put(None)
-
-    # -- consumer side ---------------------------------------------------
-    def receive(self, timeout: float = TRANSPORT_TIMEOUT_S) -> Iterator[PacketBatch]:
-        """Yield the batches in transfer order until end of stream.
-
-        Each batch is copied out of its slot before the slot returns to
-        the free ring, so the yielded arrays are ordinary process-local
-        NumPy arrays (already validated by the producer — the
-        constructor checks are skipped).
-        """
-        self._attach()
-        assert self._segments is not None
-        try:
-            while True:
-                item = self._ready.get(timeout=timeout)
-                if item is None:
-                    return
-                slot, count = item
-                timestamps, flow_ids, sizes = self._views(slot, count)
-                batch = PacketBatch.from_trusted_columns(
-                    timestamps.copy(), flow_ids.copy(), sizes.copy()
-                )
-                self._free.put(slot)
-                yield batch
-        finally:
-            # Workers detach on exit; the owner keeps its handles open
-            # so :meth:`unlink` remains the single reclamation point.
-            if not self._owner:
-                for segment in self._segments:
-                    segment.close()
-                self._segments = None
-
-    # -- owner cleanup ---------------------------------------------------
-    def unlink(self) -> None:
-        """Release every segment (parent side; idempotent).
-
-        Safe to call regardless of worker state — a SIGKILLed worker
-        never owns a segment, so this is the single reclamation point
-        and ``/dev/shm`` can never leak past it.
-        """
-        if not self._owner or self._unlinked:
-            return
-        self._unlinked = True
-        assert self._segments is not None
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = None
-
-
-class PickleBatchChannel:
-    """Bounded queue of pickled batch columns: the fallback transport.
-
-    Same :meth:`send` / :meth:`close_sending` / :meth:`receive` /
-    :meth:`unlink` surface as :class:`SharedMemoryBatchChannel`, but the
-    columns are pickled through a ``multiprocessing.Queue`` — the
-    reference transport for environments without usable shared memory,
-    and the baseline the benchmark compares against.
-    """
-
-    def __init__(
-        self,
-        context: multiprocessing.context.BaseContext | None = None,
-        maxsize: int = SHM_SLOTS_PER_WORKER,
-    ) -> None:
-        ctx = context if context is not None else multiprocessing.get_context()
-        self._queue: multiprocessing.queues.Queue = ctx.Queue(maxsize)
-
-    def send(self, batch: PacketBatch, timeout: float = TRANSPORT_TIMEOUT_S) -> None:
-        try:
-            self._queue.put(
-                (batch.timestamps, batch.flow_ids, batch.sizes_bytes), timeout=timeout
-            )
-        except queue_module.Full:
-            raise TimeoutError(
-                f"transport queue full for {timeout:g}s; the worker has "
-                "stopped draining the channel"
-            ) from None
-
-    def close_sending(self) -> None:
-        self._queue.put(None)
-
-    def receive(self, timeout: float = TRANSPORT_TIMEOUT_S) -> Iterator[PacketBatch]:
-        while True:
-            item = self._queue.get(timeout=timeout)
-            if item is None:
-                return
-            yield PacketBatch.from_trusted_columns(*item)
-
-    def unlink(self) -> None:
-        """Nothing to reclaim — queues clean up with the processes."""
-
-
-def _stream_worker(
-    channel: SharedMemoryBatchChannel | PickleBatchChannel,
-    sampler_specs: list,
-    cell_payload: list[tuple[int, int, np.random.SeedSequence]],
-    groups: np.ndarray,
-    bin_duration: float,
-    top_t: int,
-    results: multiprocessing.queues.Queue,
-    telemetry_enabled: bool = False,
-) -> None:
-    """Worker entry point for the streaming transports.
-
-    Receives the parent's exact chunks through ``channel`` — so every
-    cell sees the very same packet stream the serial backend would —
-    and posts ``("ok", indices, outcome, snapshot)`` or ``("error",
-    message)``.  ``snapshot`` is this worker's telemetry registry when
-    the parent had telemetry on (children start fresh, so the flag must
-    travel explicitly); ``None`` otherwise.
-    """
-    try:
-        if telemetry_enabled:
-            telemetry.enable()
-        samplers = [
-            sampler_specs[spec_index].build(np.random.default_rng(seed))
-            for _, spec_index, seed in cell_payload
-        ]
-        outcome = run_stream(channel.receive(), groups, samplers, bin_duration, top_t)
-        indices = [stream_index for stream_index, _, _ in cell_payload]
-        snapshot = telemetry.snapshot() if telemetry_enabled else None
-        results.put(("ok", indices, outcome, snapshot))
-    except BaseException as error:  # noqa: BLE001 - marshalled to the parent
-        results.put(("error", f"{type(error).__name__}: {error}"))
-
-
 def _run_cell_batch(
-    plan: ExecutionPlan, cell_indices: list[int]
-) -> tuple[list[int], StreamOutcome]:
+    plan: ExecutionPlan, cell_indices: list[int], telemetry_enabled: bool = False
+) -> tuple[list[int], StreamOutcome, dict | None]:
     """Evaluate one batch of cells against a freshly replayed stream.
 
     This is the worker entry point of the process backend (and, with a
@@ -856,12 +365,23 @@ def _run_cell_batch(
         The execution plan (pickled to the worker by the pool).
     cell_indices:
         Indices into ``plan.cells`` to evaluate here.
+    telemetry_enabled:
+        Whether the caller records telemetry.  A pool worker cannot
+        rely on the parent's module state (a spawned worker starts with
+        telemetry off, a forked one with a copy of the parent's
+        registry), so the flag travels explicitly, and enabling it
+        resets the worker's registry to hold this batch alone.
 
     Returns
     -------
-    tuple[list[int], StreamOutcome]
-        The global stream indices of the batch and their outcome rows.
+    tuple[list[int], StreamOutcome, dict | None]
+        The global stream indices of the batch, their outcome rows, and
+        this process's telemetry snapshot when ``telemetry_enabled``
+        (``None`` otherwise) for the parent to
+        :func:`~repro.telemetry.absorb` deterministically.
     """
+    if telemetry_enabled:
+        telemetry.enable()
     cells = [plan.cells[index] for index in cell_indices]
     samplers = [
         plan.sampler_specs[cell.spec_index].build(np.random.default_rng(cell.seed))
@@ -869,22 +389,8 @@ def _run_cell_batch(
     ]
     chunks = plan.source.iter_chunks(plan._expand_rng(), chunk_packets=plan.chunk_packets)
     outcome = run_stream(chunks, plan.groups, samplers, plan.bin_duration, plan.top_t)
-    return [cell.stream_index for cell in cells], outcome
-
-
-def _run_cell_batch_telemetry(
-    plan: ExecutionPlan, cell_indices: list[int]
-) -> tuple[list[int], StreamOutcome, dict]:
-    """Replay-backend worker entry with telemetry on.
-
-    Pool children start with telemetry disabled (module state does not
-    cross the process boundary); this wrapper enables it, evaluates the
-    batch, and returns the worker's registry snapshot for the parent to
-    :func:`~repro.telemetry.absorb` deterministically.
-    """
-    telemetry.enable()
-    indices, outcome = _run_cell_batch(plan, cell_indices)
-    return indices, outcome, telemetry.snapshot()
+    snapshot = telemetry.snapshot() if telemetry_enabled else None
+    return [cell.stream_index for cell in cells], outcome, snapshot
 
 
 def merge_outcomes(
@@ -947,12 +453,6 @@ __all__ = [
     "BACKENDS",
     "Cell",
     "ExecutionPlan",
-    "PickleBatchChannel",
-    "SHM_SLOTS_PER_WORKER",
-    "SharedMemoryBatchChannel",
-    "TRANSPORTS",
-    "TRANSPORT_TIMEOUT_S",
     "merge_outcomes",
     "probe_process_spawn",
-    "probe_shared_memory",
 ]

@@ -388,8 +388,6 @@ class RunStore:
         #: suite, telemetry adapters and progress reporters subscribe
         #: concurrently without clobbering each other.
         self.events: telemetry.EventBus = telemetry.EventBus()
-        #: Backing slot of the deprecated :attr:`on_event` shim.
-        self._legacy_on_event: Callable[[str, str], None] | None = None
         #: Keys this instance has put — the index merge loop re-asserts
         #: them so a concurrent writer can never erase our entries.
         self._written_entries: dict[str, dict] = {}
@@ -425,28 +423,6 @@ class RunStore:
 
     def _fire(self, event: str, key: str) -> None:
         self.events.emit(event, key)
-
-    @property
-    def on_event(self) -> Callable[[str, str], None] | None:
-        """Deprecated single-slot alias over :attr:`events`.
-
-        Assigning a callback subscribes it on the event bus (replacing
-        any callback previously assigned through this attribute);
-        assigning ``None`` unsubscribes it.  New code should call
-        ``store.events.subscribe(...)`` / ``unsubscribe(...)`` directly
-        — multiple subscribers then coexist instead of clobbering one
-        slot.
-        """
-        return self._legacy_on_event
-
-    @on_event.setter
-    def on_event(self, callback: Callable[[str, str], None] | None) -> None:
-        telemetry.deprecated_single_slot("RunStore.on_event", "RunStore.events.subscribe()")
-        if self._legacy_on_event is not None:
-            self.events.unsubscribe(self._legacy_on_event)
-        self._legacy_on_event = callback
-        if callback is not None:
-            self.events.subscribe(callback)
 
     def _load_index(self) -> dict:
         """The parsed index, cached against the file's (mtime, size, inode).

@@ -11,9 +11,10 @@ the merge step.
 
 from __future__ import annotations
 
-import os
-import signal
-import time
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from repro.pipeline.parallel import (
     merge_outcomes,
 )
 from repro.sampling import BernoulliSampler
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _sweep_pipeline(trace, seed=11, runs=3) -> Pipeline:
@@ -249,154 +252,65 @@ class TestPlanExecuteDirectly:
 
 
 # ----------------------------------------------------------------------
-# Batch transports
+# Batch transport: every worker replays the stream
 # ----------------------------------------------------------------------
-def _shm_available() -> bool:
-    from repro.pipeline.parallel import probe_shared_memory
+#: Runs one process-backend execute in a fresh interpreter and reports
+#: whether it started multiprocessing's resource tracker or left a new
+#: entry in ``/dev/shm``.  The fork start method is pinned because the
+#: spawn and forkserver methods start the tracker for their own
+#: semaphores, whatever the plan does.
+_NO_SHARED_STATE_SCRIPT = """
+import json, multiprocessing, os, sys
+sys.path.insert(0, sys.argv[1])
+multiprocessing.set_start_method("fork")
+from multiprocessing import resource_tracker
+from repro.pipeline import Pipeline
 
-    return probe_shared_memory() is None
+def listing():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
-
-def _batch(count: int, start: float = 0.0) -> "PacketBatch":
-    from repro.flows.packets import PacketBatch
-
-    timestamps = start + np.linspace(0.0, 1.0, count)
-    flow_ids = np.arange(count, dtype=np.int64) % 7
-    sizes = np.full(count, 500, dtype=np.int32)
-    return PacketBatch(timestamps, flow_ids, sizes)
-
-
-def _consume_one_and_hang(channel, started) -> None:
-    iterator = channel.receive()
-    next(iterator)
-    started.set()
-    time.sleep(300.0)
+before = listing()
+plan = (
+    Pipeline()
+    .with_trace("sprint", scale=0.002, duration=120.0)
+    .with_sampler("bernoulli", rate=0.1)
+    .with_runs(4)
+    .with_seed(3)
+    .plan()
+)
+plan.execute(backend="process", jobs=2)
+print(json.dumps({
+    "transport": plan.transport_used,
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+    "new_shm": sorted(listing() - before),
+}))
+"""
 
 
 class TestBatchTransports:
-    @pytest.mark.parametrize("transport", ["replay", "pickle", "shm"])
-    def test_each_transport_matches_serial(self, small_trace, transport):
-        if transport == "shm" and not _shm_available():
-            pytest.skip("shared memory unusable in this environment")
+    def test_process_backend_replays_bit_identically(self, small_trace):
         serial = _sweep_pipeline(small_trace).plan().execute(backend="serial")
         plan = _sweep_pipeline(small_trace).plan()
-        outcome = plan.execute(backend="process", jobs=2, transport=transport)
+        outcome = plan.execute(backend="process", jobs=2)
         np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
         np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
         np.testing.assert_array_equal(serial.bin_start_times, outcome.bin_start_times)
         assert serial.total_packets == outcome.total_packets
-        assert plan.transport_used == transport
-
-    def test_auto_transport_records_its_choice(self, small_trace):
-        plan = _sweep_pipeline(small_trace).plan()
-        plan.execute(backend="process", jobs=2, transport="auto")
-        if _shm_available():
-            assert plan.transport_used == "shm"
-            assert plan.fallback_reason is None
-        else:
-            assert plan.transport_used == "pickle"
-            assert "fell back to pickle" in plan.fallback_reason
-
-    def test_auto_degrades_to_pickle_for_unbounded_chunks(self, small_trace):
-        plan = _sweep_pipeline(small_trace).materialised().plan()
-        transport, reason = plan.resolve_transport("auto")
-        assert transport == "pickle"
-        assert "unbounded chunks" in reason
+        assert plan.transport_used == "replay"
 
     def test_serial_backend_records_no_transport(self, small_trace):
         plan = _sweep_pipeline(small_trace).plan()
         plan.execute(backend="serial")
         assert plan.transport_used is None
 
-    def test_unknown_transport_rejected(self, small_trace):
-        plan = _sweep_pipeline(small_trace).plan()
-        with pytest.raises(ValueError, match="unknown transport"):
-            plan.execute(backend="process", jobs=2, transport="carrier-pigeon")
-
-    def test_explicit_shm_raises_when_unusable(self, small_trace, monkeypatch):
-        from repro.pipeline import parallel as parallel_module
-
-        monkeypatch.setattr(
-            parallel_module, "probe_shared_memory", lambda: "no /dev/shm in sandbox"
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs the fork start method")
+    def test_process_backend_leaves_no_shared_memory_or_tracker(self):
+        child = subprocess.run(
+            [sys.executable, "-c", _NO_SHARED_STATE_SCRIPT, str(REPO_SRC)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
         )
-        plan = _sweep_pipeline(small_trace).plan()
-        with pytest.raises(ValueError, match="no /dev/shm in sandbox"):
-            plan.execute(backend="process", jobs=2, transport="shm")
-
-
-@pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
-class TestSharedMemoryChannel:
-    def _channel(self, capacity=1024, slots=2):
-        from repro.pipeline.parallel import SharedMemoryBatchChannel
-
-        return SharedMemoryBatchChannel(capacity, slots=slots)
-
-    @staticmethod
-    def _segment_paths(channel):
-        return [f"/dev/shm/{name}" for name in channel.segment_names]
-
-    def test_in_process_round_trip(self):
-        channel = self._channel()
-        sent = [_batch(100), _batch(1024, start=2.0), _batch(1, start=4.0)]
-        try:
-            for batch in sent[:2]:
-                channel.send(batch)
-            received = channel.receive()
-            first = next(received)
-            channel.send(sent[2])
-            channel.close_sending()
-            batches = [first, *received]
-        finally:
-            channel.unlink()
-        assert len(batches) == 3
-        for got, want in zip(batches, sent):
-            np.testing.assert_array_equal(got.timestamps, want.timestamps)
-            np.testing.assert_array_equal(got.flow_ids, want.flow_ids)
-            np.testing.assert_array_equal(got.sizes_bytes, want.sizes_bytes)
-
-    def test_oversized_batch_rejected(self):
-        channel = self._channel(capacity=8)
-        try:
-            with pytest.raises(ValueError, match="exceeds channel capacity"):
-                channel.send(_batch(9))
-        finally:
-            channel.unlink()
-
-    def test_send_times_out_when_consumer_stalls(self):
-        channel = self._channel(slots=1)
-        try:
-            channel.send(_batch(4))
-            with pytest.raises(TimeoutError, match="stopped draining"):
-                channel.send(_batch(4), timeout=0.05)
-        finally:
-            channel.unlink()
-
-    def test_unlink_is_idempotent_and_releases_segments(self):
-        channel = self._channel()
-        paths = self._segment_paths(channel)
-        assert all(os.path.exists(path) for path in paths)
-        channel.unlink()
-        channel.unlink()
-        assert not any(os.path.exists(path) for path in paths)
-
-    def test_sigkilled_worker_mid_transfer_leaks_nothing(self):
-        import multiprocessing
-
-        context = multiprocessing.get_context()
-        channel = self._channel()
-        paths = self._segment_paths(channel)
-        started = context.Event()
-        worker = context.Process(
-            target=_consume_one_and_hang, args=(channel, started), daemon=True
-        )
-        worker.start()
-        try:
-            channel.send(_batch(64))
-            channel.send(_batch(64, start=2.0))  # in flight when the worker dies
-            assert started.wait(timeout=30.0)
-            os.kill(worker.pid, signal.SIGKILL)
-            worker.join(timeout=30.0)
-            assert not worker.is_alive()
-        finally:
-            channel.unlink()
-        assert not any(os.path.exists(path) for path in paths)
+        report = json.loads(child.stdout.strip().splitlines()[-1])
+        assert report == {"transport": "replay", "tracker_pid": None, "new_shm": []}

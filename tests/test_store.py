@@ -614,10 +614,10 @@ class TestConcurrentIndexWriters:
 
         def interleave(event: str, key: str) -> None:
             if event == "put.after-artifact" and key == a.key_of(SPEC):
-                a.on_event = None
+                a.events.unsubscribe(interleave)
                 b.put(SPEC2, result)
 
-        a.on_event = interleave
+        a.events.subscribe(interleave)
         a.put(SPEC, result)
         expected = sorted([a.key_of(SPEC), b.key_of(SPEC2)])
         assert sorted(key for key, _ in a.list()) == expected
