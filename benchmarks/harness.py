@@ -36,20 +36,31 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+# The reference side of every bit-identity check comes from the test
+# oracles (tests/oracles/).
+if str(REPO_ROOT / "tests") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 import numpy as np  # noqa: E402
 
+from oracles.accounting import accounts_identical, reference_accounts  # noqa: E402
+from oracles.monitor import reference_monitor_stream  # noqa: E402
+from oracles.sources import reference_chunks  # noqa: E402
+from oracles.table import PerPacketFlowTable  # noqa: E402
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
 from repro.flows.keys import FiveTupleKeyPolicy  # noqa: E402
 from repro.flows.packets import Packet  # noqa: E402
 from repro.flows.records import FlowSummary, ranking_sort_key  # noqa: E402
-from repro.flows.table import BinnedFlowTable, FlowBin  # noqa: E402
+from repro.flows.table import FlowBin  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.pipeline.executor import DEFAULT_CHUNK_PACKETS, iter_expanded_chunks  # noqa: E402
 from repro.registry import TRACES  # noqa: E402
 
 #: Sampling rates of the paper's trace-driven sweep (Figs. 12-15).
 SWEEP_RATES = (0.001, 0.01, 0.1, 0.5)
+
+#: Iterations of the telemetry guard-cost loop (``bench_telemetry``).
+GUARD_ITERATIONS = 200_000
 
 #: Streaming chunk sizes to compare (packets); ``None`` = materialised.
 CHUNK_SIZES = (1 << 14, 1 << 16, 1 << 18, None)
@@ -74,39 +85,38 @@ def _timed(func):
     return time.perf_counter() - start, value
 
 
+def _library_chunks(source, rng, chunk_packets):
+    return source.iter_chunks(rng, chunk_packets)
+
+
 def _assert_streams_identical(source, rng_seed: int, chunk_packets, label: str) -> None:
-    """One untimed lockstep pass: fast chunks must equal reference chunks."""
+    """One untimed lockstep pass: library chunks must equal oracle chunks."""
     from itertools import zip_longest
 
-    from repro.traces.source import use_assembly
-
-    with use_assembly("fast"):
-        fast = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
-        with use_assembly("reference"):
-            reference = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
-            for fast_chunk, ref_chunk in zip_longest(fast, reference):
-                if fast_chunk is None or ref_chunk is None:
-                    raise SystemExit(
-                        f"FATAL: {label} fast assembly emits a different chunk count "
-                        "— assembly regression"
-                    )
-                for column in ("timestamps", "flow_ids", "sizes_bytes"):
-                    left = getattr(fast_chunk, column)
-                    right = getattr(ref_chunk, column)
-                    if left.dtype != right.dtype or not np.array_equal(left, right):
-                        raise SystemExit(
-                            f"FATAL: {label} fast assembly diverges from the reference "
-                            f"on {column} — assembly regression"
-                        )
+    fast = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
+    reference = reference_chunks(source, np.random.default_rng(rng_seed), chunk_packets)
+    for fast_chunk, ref_chunk in zip_longest(fast, reference):
+        if fast_chunk is None or ref_chunk is None:
+            raise SystemExit(
+                f"FATAL: {label} fast assembly emits a different chunk count "
+                "— assembly regression"
+            )
+        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+            left = getattr(fast_chunk, column)
+            right = getattr(ref_chunk, column)
+            if left.dtype != right.dtype or not np.array_equal(left, right):
+                raise SystemExit(
+                    f"FATAL: {label} fast assembly diverges from the reference "
+                    f"on {column} — assembly regression"
+                )
 
 
-def _timed_source_pass(source, rng_seed: int, chunk_packets, backend: str) -> tuple[float, int]:
-    from repro.traces.source import use_assembly
+def _timed_source_pass(assemble, source, rng_seed: int, chunk_packets) -> tuple[float, int]:
+    """Best of two full passes of ``assemble(source, rng, chunk_packets)``."""
 
     def consume() -> int:
-        with use_assembly(backend):
-            chunks = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
-            return sum(len(chunk) for chunk in chunks)
+        chunks = assemble(source, np.random.default_rng(rng_seed), chunk_packets)
+        return sum(len(chunk) for chunk in chunks)
 
     # Best of two passes: at smoke scales a single pass is scheduling
     # noise, and the CI gate asserts on the recorded ratio.
@@ -116,22 +126,22 @@ def _timed_source_pass(source, rng_seed: int, chunk_packets, backend: str) -> tu
 
 
 def bench_expansion(args: argparse.Namespace) -> dict:
-    """Throughput of the chunked packet expansion alone, fast vs reference.
+    """Throughput of the chunked packet expansion alone, library vs oracle.
 
-    Times one full pass per assembly backend and, before recording
-    anything, replays both streams in lockstep asserting every chunk is
-    bit-identical — a divergence fails the harness rather than
-    polluting the baseline.  The legacy ``seconds``/``packets_per_second``
-    keys record the fast (default) backend so the trajectory stays
-    comparable across PRs.
+    Times one full pass of the library's assembly and one of the
+    reference oracle (``tests/oracles/sources.py``) and, before
+    recording anything, replays both streams in lockstep asserting
+    every chunk is bit-identical — a divergence fails the harness
+    rather than polluting the baseline.  ``seconds`` and
+    ``packets_per_second`` record the library path.
     """
     plan = _pipeline(args).plan()
     _assert_streams_identical(plan.source, args.seed, plan.chunk_packets, "expansion")
     reference_seconds, packets = _timed_source_pass(
-        plan.source, args.seed, plan.chunk_packets, "reference"
+        reference_chunks, plan.source, args.seed, plan.chunk_packets
     )
     seconds, fast_packets = _timed_source_pass(
-        plan.source, args.seed, plan.chunk_packets, "fast"
+        _library_chunks, plan.source, args.seed, plan.chunk_packets
     )
     assert fast_packets == packets
     return {
@@ -152,10 +162,10 @@ def bench_scenarios(args: argparse.Namespace) -> dict:
 
     Builds each scenario at the harness scale and times one full pass
     over its chunked stream — the cost of the source layer alone
-    (expansion + merge + transforms), before any sampling — under both
-    assembly backends, after asserting the two streams are
-    bit-identical chunk for chunk.  Legacy keys record the fast
-    (default) backend.
+    (expansion + merge + transforms), before any sampling — through the
+    library and through the reference oracle, after asserting the two
+    streams are bit-identical chunk for chunk.  ``seconds`` and
+    ``packets_per_second`` record the library path.
     """
     from repro.scenarios import SCENARIOS
 
@@ -167,9 +177,11 @@ def bench_scenarios(args: argparse.Namespace) -> dict:
         )
         _assert_streams_identical(source, args.seed, DEFAULT_CHUNK_PACKETS, f"scenario {name}")
         reference_seconds, packets = _timed_source_pass(
-            source, args.seed, DEFAULT_CHUNK_PACKETS, "reference"
+            reference_chunks, source, args.seed, DEFAULT_CHUNK_PACKETS
         )
-        seconds, _ = _timed_source_pass(source, args.seed, DEFAULT_CHUNK_PACKETS, "fast")
+        seconds, _ = _timed_source_pass(
+            _library_chunks, source, args.seed, DEFAULT_CHUNK_PACKETS
+        )
         results[name] = {
             "packets": packets,
             "seconds": round(seconds, 4),
@@ -229,29 +241,16 @@ def _single_core() -> bool:
     return (os.cpu_count() or 1) < 2
 
 
-def _accounts_identical(left, right) -> bool:
-    """Whether two flushed account lists are bit-for-bit equal."""
-    if len(left) != len(right):
-        return False
-    for a, b in zip(left, right):
-        if (a.index, a.start_time, a.end_time) != (b.index, b.start_time, b.end_time):
-            return False
-        for field in ("codes", "packets", "bytes", "first_seen", "last_seen"):
-            if not np.array_equal(getattr(a, field), getattr(b, field)):
-                return False
-    return True
-
-
 def bench_flow_accounting(args: argparse.Namespace) -> dict:
-    """Monitor flow accounting: legacy object path vs columnar engine.
+    """Monitor flow accounting: per-packet and sort oracles vs the engine.
 
-    Streams the same expanded packet trace through the per-packet
-    ``BinnedFlowTable`` (``backend="object"``) and through the columnar
-    ``FlowAccountingEngine`` with both group-by backends (the reference
-    ``sort`` kernel and the ``hash`` accumulator), asserts all produced
-    bins are bit-identical, and records packets/second for each.  In
-    full mode the workload is at least a million packets so the speedup
-    is measured where it matters.
+    Accounts the same expanded packet trace three ways: through the
+    columnar ``FlowAccountingEngine`` (hash group-by), through the
+    whole-bin sort group-by oracle (``tests/oracles/accounting.py``) and
+    through the per-packet table oracle (``tests/oracles/table.py``).
+    It asserts all produced bins are bit-identical and records
+    packets/second for each.  In full mode the workload is at least a
+    million packets so the speedup is measured where it matters.
     """
     scale = args.scale if args.quick else max(args.scale, 0.06)
     generator = TRACES.create("sprint", scale=scale, duration=args.duration)
@@ -276,25 +275,32 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
         encoder=encoder,
     )
 
-    def columnar(groupby: str):
-        engine = FlowAccountingEngine(60.0, order_key=encoder.order_key, groupby=groupby)
+    def columnar():
+        engine = FlowAccountingEngine(60.0, order_key=encoder.order_key)
         for chunk in chunks:
             engine.observe_batch(chunk, codes)
         return engine.flush()
 
-    sort_seconds, sort_accounts = _timed(lambda: columnar("sort"))
-    columnar_seconds, accounts = _timed(lambda: columnar("hash"))
-    hash_identical = _accounts_identical(accounts, sort_accounts)
+    timestamps = np.concatenate([chunk.timestamps for chunk in chunks])
+    flow_ids = np.concatenate([chunk.flow_ids for chunk in chunks])
+    sizes = np.concatenate([chunk.sizes_bytes for chunk in chunks])
+
+    def sort_oracle():
+        return reference_accounts(timestamps, codes[flow_ids], sizes, 60.0)[0]
+
+    sort_seconds, sort_accounts = _timed(sort_oracle)
+    columnar_seconds, accounts = _timed(columnar)
+    hash_identical = accounts_identical(accounts, sort_accounts)
     if not hash_identical:
         raise SystemExit(
-            "FATAL: hash group-by diverges from the sort backend — kernel regression"
+            "FATAL: hash group-by diverges from the sort oracle — kernel regression"
         )
 
-    # Object path: the same stream, one Packet at a time.  Object
+    # Per-packet oracle: the same stream, one Packet at a time.  Object
     # construction happens outside the timer so both paths are timed on
     # accounting work alone.
     five_tuples = [trace.five_tuple(index) for index in range(trace.num_flows)]
-    table = BinnedFlowTable(60.0, backend="object")
+    table = PerPacketFlowTable(60.0)
     object_seconds = 0.0
     for chunk in chunks:
         packets = [
@@ -328,7 +334,8 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
     identical = [to_flow_bin(account) for account in accounts] == bins
     if not identical:
         raise SystemExit(
-            "FATAL: columnar accounting diverges from the object path — equivalence regression"
+            "FATAL: columnar accounting diverges from the per-packet oracle "
+            "— equivalence regression"
         )
     return {
         "packets": total_packets,
@@ -365,14 +372,15 @@ def _outcomes_identical(left, right) -> bool:
 
 
 def bench_monitor(args: argparse.Namespace) -> dict:
-    """Fused vs unfused monitor-in-the-loop pass, bit-checked.
+    """Fused monitor-in-the-loop pass vs the staged oracle, bit-checked.
 
-    Streams the flow-accounting workload through
-    ``run_monitor_stream`` twice — the fused single-pass kernel and the
-    legacy per-stage path — asserts the outcomes are bit-identical, and
-    records the fusion speedup.  The bounded (``max_flows``) variant is
-    bit-checked in ``tests/test_pipeline.py``; here the engines run
-    unbounded, where the hash-kernel fast path carries the fusion gain.
+    Streams the flow-accounting workload through ``run_monitor_stream``
+    (the fused single pass) and through the staged oracle
+    (``tests/oracles/monitor.py``), asserts the outcomes are
+    bit-identical, and records the fusion speedup.  The bounded
+    (``max_flows``) variant is bit-checked in ``tests/test_pipeline.py``;
+    here the engines run unbounded, where the hash-kernel fast path
+    carries the fusion gain.
     """
     from repro.pipeline.executor import run_monitor_stream
     from repro.sampling import BernoulliSampler
@@ -404,7 +412,8 @@ def bench_monitor(args: argparse.Namespace) -> dict:
             BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index))
             for index, rate in enumerate((0.01, 0.1))
         ]
-        return run_monitor_stream(iter(chunks), groups, samplers, 60.0, 10, fused=fused)
+        monitor = run_monitor_stream if fused else reference_monitor_stream
+        return monitor(iter(chunks), groups, samplers, 60.0, 10)
 
     # Best of two passes each: the fused/unfused gap is a per-chunk
     # constant, easily drowned by one cold-cache pass on a single run.
@@ -466,7 +475,7 @@ def bench_end_to_end(args: argparse.Namespace) -> dict:
             BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index))
             for index, rate in enumerate((0.01, 0.1))
         ]
-        return run_monitor_stream(stream(), groups, samplers, 60.0, 10, fused=True)
+        return run_monitor_stream(stream(), groups, samplers, 60.0, 10)
 
     seconds, _ = _timed(run)
     return {
@@ -592,14 +601,20 @@ def bench_telemetry(args: argparse.Namespace) -> dict:
     disabled every instrumentation point is one attribute check plus a
     shared no-op span, so an instrumented per-chunk loop must stay
     within a few percent of the identical loop with no instrumentation
-    at all.  The microbenchmark times a representative per-chunk
-    workload (NumPy reductions, sized like a fraction of a real chunk)
-    with and without the guard pattern the executor uses, best of
-    several passes; the CI perf-smoke step asserts the recorded
-    ``disabled_overhead_ratio`` stays at or below 1.03.  The pipeline
-    pass then runs the same pipeline with telemetry on and off and
-    asserts the results are bit-identical before recording both times —
-    a perturbation fails the harness rather than polluting the baseline.
+    at all.  The ratio is estimated as ``1 + guard_ns / chunk_ns``:
+    ``guard_ns`` is the per-iteration cost of a loop holding only the
+    guard pattern the executor uses (best of five timings of
+    ``GUARD_ITERATIONS`` iterations, minus the same loop left empty) and
+    ``chunk_ns`` the per-call cost of a representative per-chunk
+    workload (NumPy reductions sized like a fraction of a real chunk,
+    best of five).  Timing the guard on its own keeps the estimate
+    clear of the chunk work's own run-to-run noise, which is larger
+    than the budget being checked.  The CI perf-smoke step asserts the
+    recorded ``disabled_overhead_ratio`` stays at or below 1.03.  The
+    pipeline pass then runs the same pipeline with telemetry on and off
+    and asserts the results are bit-identical before recording both
+    times — a perturbation fails the harness rather than polluting the
+    baseline.
     """
     from repro import telemetry
 
@@ -608,29 +623,29 @@ def bench_telemetry(args: argparse.Namespace) -> dict:
     iterations = 300 if args.quick else 1500
     data = rng.random(1 << 16)
 
-    def chunk_work() -> float:
-        return float(data.sum()) + float(data.min())
-
-    def bare_loop() -> float:
+    def chunk_loop() -> float:
         total = 0.0
         for _ in range(iterations):
-            total += chunk_work()
+            total += float(data.sum()) + float(data.min())
         return total
 
-    def guarded_loop() -> float:
-        total = 0.0
-        for _ in range(iterations):
-            total += chunk_work()
+    def guard_loop() -> None:
+        for _ in range(GUARD_ITERATIONS):
             if telemetry.enabled:
                 telemetry.count("bench.chunks")
                 telemetry.count("bench.packets", 1 << 16)
             with telemetry.span("bench.chunk"):
                 pass
-        return total
 
-    bare_seconds = min(_timed(bare_loop)[0] for _ in range(5))
-    guarded_seconds = min(_timed(guarded_loop)[0] for _ in range(5))
-    ratio = guarded_seconds / bare_seconds if bare_seconds else None
+    def empty_loop() -> None:
+        for _ in range(GUARD_ITERATIONS):
+            pass
+
+    chunk_ns = min(_timed(chunk_loop)[0] for _ in range(5)) / iterations * 1e9
+    guard_seconds = min(_timed(guard_loop)[0] for _ in range(5))
+    empty_seconds = min(_timed(empty_loop)[0] for _ in range(5))
+    guard_ns = max(guard_seconds - empty_seconds, 0.0) / GUARD_ITERATIONS * 1e9
+    ratio = 1.0 + guard_ns / chunk_ns if chunk_ns else None
 
     def run():
         return _pipeline(args, rates=(0.1,), runs=2).run(parallel="serial")
@@ -645,9 +660,10 @@ def bench_telemetry(args: argparse.Namespace) -> dict:
             "FATAL: telemetry perturbs pipeline results — observability regression"
         )
     return {
-        "loop_iterations": iterations,
-        "bare_loop_seconds": round(bare_seconds, 6),
-        "guarded_loop_seconds": round(guarded_seconds, 6),
+        "chunk_iterations": iterations,
+        "guard_iterations": GUARD_ITERATIONS,
+        "chunk_ns": round(chunk_ns, 1),
+        "guard_ns": round(guard_ns, 1),
         "disabled_overhead_ratio": round(ratio, 4) if ratio is not None else None,
         "disabled_seconds": round(disabled_seconds, 4),
         "enabled_seconds": round(enabled_seconds, 4),

@@ -609,9 +609,9 @@ class NonAtomicWriteRule(Rule):
 #: reference behaviour.
 _HOT_PATH_MODULES = frozenset({"repro.flows.accounting", "repro.flows.groupby"})
 
-#: Functions implementing the *reference* sort backend — exempt from
-#: REP205 by design: they exist precisely to cross-check the hash
-#: kernel bit-for-bit, so their sorts are the point, not a regression.
+#: The sort-based segment group-by — exempt from REP205 by design: the
+#: bounded eviction replay needs each flow's packet runs, and the tests
+#: use it as the hash kernel's oracle, so its sorts are the point.
 _REFERENCE_BACKEND_FUNCTIONS = frozenset({"sort_group_index", "aggregate_codes"})
 
 #: Call leaf names that perform an O(N log N) sort-based group-by.
@@ -630,8 +630,8 @@ class HotPathSortRule(Rule):
         "The per-chunk accounting path is the pipeline's throughput "
         "ceiling and is deliberately O(N) via the hash-accumulator "
         "kernel; an np.argsort/np.lexsort in repro.flows.accounting or "
-        "repro.flows.groupby (outside the designated reference sort "
-        "backend) silently reintroduces an O(N log N) pass per chunk.  "
+        "repro.flows.groupby (outside the designated sort group-by) "
+        "silently reintroduces an O(N log N) pass per chunk.  "
         "Suppressions must say why the sort is not per-packet work."
     )
 
@@ -667,7 +667,7 @@ class HotPathSortRule(Rule):
                 call,
                 f"`{target}` on the flow-accounting hot path is an "
                 "O(N log N) pass per chunk; group with the hash "
-                "accumulator, move the sort into the reference backend "
+                "accumulator, move the sort into the sort group-by "
                 f"({', '.join(sorted(_REFERENCE_BACKEND_FUNCTIONS))}), or "
                 "suppress with a reason explaining why the sorted input "
                 "is not per-packet work",
@@ -700,8 +700,7 @@ class SourceHotConcatRule(Rule):
         "chunk, turning O(N) streaming into O(N^2/chunk) churn.  Grow "
         "pending packets through repro.traces.buffers (ChunkBuffer "
         "amortised appends, RunQueue zero-copy runs) instead.  "
-        "Suppressions must say why the copy is not per-chunk work "
-        "(e.g. the retained bit-checked reference path)."
+        "Suppressions must say why the copy is not per-chunk work."
     )
 
     def check(self, context: FileContext) -> Iterator[Violation]:

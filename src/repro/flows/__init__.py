@@ -1,18 +1,18 @@
 """Flow abstraction substrate: keys, packets, records, classification.
 
-Two parallel APIs cover the monitor path:
+Two APIs cover the monitor path:
 
-* the **object path** — :class:`Packet` streams through
+* the **object API** — :class:`Packet` streams through
   :class:`FlowClassifier` / :class:`BinnedFlowTable`;
-* the **columnar path** — :class:`PacketBatch` chunks through the
+* the **columnar API** — :class:`PacketBatch` chunks through the
   :class:`FlowAccountingEngine`, with flow keys carried as integer
   codes (:class:`FlowKeyEncoder`).
 
-Both produce bit-identical bins; the columnar path is the fast one.
+:class:`BinnedFlowTable` accounts through the engine, so both produce
+the same bins.
 """
 
 from .accounting import (
-    GROUPBY_BACKENDS,
     BinAccount,
     FlowAccountingEngine,
     aggregate_codes,
@@ -39,7 +39,7 @@ from .keys import (
 )
 from .packets import DEFAULT_PACKET_SIZE_BYTES, Packet, PacketBatch
 from .records import FlowRecord, FlowSummary, ranking_sort_key
-from .table import TABLE_BACKENDS, BinnedFlowTable, FlowBin
+from .table import BinnedFlowTable, FlowBin
 
 __all__ = [
     "FiveTuple",
@@ -66,10 +66,8 @@ __all__ = [
     "FlowClassifier",
     "BinnedFlowTable",
     "FlowBin",
-    "TABLE_BACKENDS",
     "BinAccount",
     "FlowAccountingEngine",
-    "GROUPBY_BACKENDS",
     "HashAccumulator",
     "aggregate_codes",
     "bin_segments",

@@ -12,17 +12,14 @@ over :class:`~repro.flows.packets.PacketBatch` columns:
 * flows are identified by ``int64`` **key codes** (see
   :meth:`repro.flows.keys.FlowKeyPolicy.keys_of_batch`), never by
   Python objects;
-* per-flow packet/byte counts and first/last timestamps are group-by
-  reductions performed by one of two interchangeable kernels from
-  :mod:`repro.flows.groupby` — the default hash-accumulator backend
-  (``groupby="hash"``) folds each segment into an open-addressing
-  table in one pass, while the reference sort backend
-  (``groupby="sort"``) keeps the PR-3 ``argsort`` + ``reduceat``
-  group-by; both are bit-identical;
+* per-flow packet/byte counts and first/last timestamps are folded
+  into the open-addressing hash accumulator of
+  :mod:`repro.flows.groupby` in one pass per segment, with no
+  per-segment sort and no merge between chunks;
 * measurement bins are closed with a linear boundary pass over the
-  chunk's non-decreasing bin indices (:func:`bin_segments`), or — on
-  the hash path with time-sorted chunks — a ``searchsorted`` against
-  the bin edges that avoids materialising per-packet bin indices;
+  chunk's non-decreasing bin indices (:func:`bin_segments`), or — for
+  time-sorted chunks — a ``searchsorted`` against the bin edges that
+  avoids materialising per-packet bin indices;
 * the ``max_flows`` bound is honoured *exactly*: a chunk segment that
   cannot overflow the table is folded in vectorised, and only when the
   bound may bind does the engine fall back to an event-driven replay
@@ -31,8 +28,12 @@ over :class:`~repro.flows.packets.PacketBatch` columns:
 
 The engine is chunk-size invariant: feeding a packet stream in one
 chunk or a thousand produces identical bins, rankings and eviction
-counts, and those are in turn identical to the legacy object path (the
-property-based tests in ``tests/test_accounting.py`` assert both).
+counts.  The property-based tests in ``tests/test_accounting.py`` and
+``tests/test_groupby.py`` assert that, and check every bin bit for bit
+against the oracles in ``tests/oracles/`` (a whole-bin
+:func:`~repro.flows.groupby.aggregate_codes` group-by, a per-packet
+eviction replay and a per-packet table over
+:class:`~repro.flows.classifier.FlowClassifier`).
 
 >>> import numpy as np
 >>> engine = FlowAccountingEngine(bin_duration=10.0)
@@ -57,9 +58,6 @@ from .packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 #: ``_HEAP_SLACK + _HEAP_GROWTH x`` live records (stale-entry cleanup).
 _HEAP_SLACK = 64
 _HEAP_GROWTH = 8
-
-#: Selectable unbounded group-by kernels (see :mod:`repro.flows.groupby`).
-GROUPBY_BACKENDS = ("hash", "sort")
 
 #: Timestamps at or above 2^52 lose the integer resolution the
 #: searchsorted bin-edge fast path relies on; such chunks (never seen
@@ -154,85 +152,14 @@ class BinAccount:
         return out
 
 
-class _UnboundedBin:
-    """Open-bin accumulator without a flow bound: pure sorted-array merges."""
-
-    __slots__ = ("codes", "packets", "bytes", "first", "last")
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.codes = np.empty(0, dtype=np.int64)
-        self.packets = np.empty(0, dtype=np.int64)
-        self.bytes = np.empty(0, dtype=np.int64)
-        self.first = np.empty(0, dtype=np.float64)
-        self.last = np.empty(0, dtype=np.float64)
-
-    @property
-    def num_flows(self) -> int:
-        return int(self.codes.size)
-
-    def apply(self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray) -> None:
-        unique, packets, byte_sums, first, last = aggregate_codes(codes, timestamps, sizes)
-        if unique.size == 0:
-            return
-        if self.codes.size == 0:
-            self.codes = unique
-            self.packets = packets
-            self.bytes = byte_sums
-            self.first = first
-            self.last = last
-            return
-        union = np.union1d(self.codes, unique)
-        if union.size == self.codes.size:
-            positions = np.searchsorted(self.codes, unique)
-            self.packets[positions] += packets
-            self.bytes[positions] += byte_sums
-            self.first[positions] = np.minimum(self.first[positions], first)
-            self.last[positions] = np.maximum(self.last[positions], last)
-            return
-        old_positions = np.searchsorted(union, self.codes)
-        new_positions = np.searchsorted(union, unique)
-        merged_packets = np.zeros(union.size, dtype=np.int64)
-        merged_packets[old_positions] = self.packets
-        merged_packets[new_positions] += packets
-        merged_bytes = np.zeros(union.size, dtype=np.int64)
-        merged_bytes[old_positions] = self.bytes
-        merged_bytes[new_positions] += byte_sums
-        merged_first = np.full(union.size, np.inf)
-        merged_first[old_positions] = self.first
-        merged_first[new_positions] = np.minimum(merged_first[new_positions], first)
-        merged_last = np.full(union.size, -np.inf)
-        merged_last[old_positions] = self.last
-        merged_last[new_positions] = np.maximum(merged_last[new_positions], last)
-        self.codes = union
-        self.packets = merged_packets
-        self.bytes = merged_bytes
-        self.first = merged_first
-        self.last = merged_last
-
-    def account(self, index: int, bin_duration: float) -> BinAccount:
-        return BinAccount(
-            index=index,
-            start_time=index * bin_duration,
-            end_time=(index + 1) * bin_duration,
-            codes=self.codes,
-            packets=self.packets,
-            bytes=self.bytes,
-            first_seen=self.first,
-            last_seen=self.last,
-        )
-
-
 class _HashBin:
-    """Open-bin accumulator backed by the hash group-by kernel.
+    """Open-bin accumulator without a flow bound.
 
-    Same contract as :class:`_UnboundedBin`, but every segment folds
-    into a persistent :class:`~repro.flows.groupby.HashAccumulator` in
-    one pass: no per-segment sort and no sorted-union merge between
-    chunks.  ``apply`` additionally accepts ``time_sorted`` so the
-    engine's fast path can enable scatter-store first/last updates.
+    Every segment folds into a persistent
+    :class:`~repro.flows.groupby.HashAccumulator` in one pass: no
+    per-segment sort and no sorted-union merge between chunks.
+    ``apply`` accepts ``time_sorted`` so the engine's fast path can
+    enable scatter-store first/last updates.
     """
 
     __slots__ = ("_accumulator",)
@@ -290,7 +217,7 @@ class _BoundedBin:
     entries: every count change pushes a fresh entry, eviction pops
     until it finds an entry matching the live record (stale entries are
     discarded), so each eviction costs O(log n) amortised instead of
-    the O(n) min-scan the object path used to do.
+    an O(n) min-scan.
     """
 
     __slots__ = ("max_flows", "order_key", "table", "heap", "evictions", "_seq")
@@ -478,13 +405,6 @@ class FlowAccountingEngine:
         pass :meth:`FlowKeyEncoder.order_key
         <repro.flows.keys.FlowKeyEncoder.order_key>` when codes come
         from an interning encoder.
-    groupby:
-        Group-by kernel for unbounded bins: ``"hash"`` (default) folds
-        each segment into an open-addressing accumulator in one pass,
-        ``"sort"`` keeps the reference ``argsort`` + ``reduceat`` path
-        from PR 3.  Both are bit-identical; engines with a
-        ``max_flows`` bound always use the event-driven bounded table,
-        whose eviction replay is the same under either setting.
 
     Examples
     --------
@@ -503,27 +423,19 @@ class FlowAccountingEngine:
         *,
         max_flows: int | None = None,
         order_key: Callable[[int], object] | None = None,
-        groupby: str = "hash",
     ) -> None:
         if bin_duration <= 0:
             raise ValueError(f"bin_duration must be positive, got {bin_duration}")
         if max_flows is not None and max_flows < 1:
             raise ValueError("max_flows must be at least 1 when given")
-        if groupby not in GROUPBY_BACKENDS:
-            raise ValueError(
-                f"unknown groupby backend {groupby!r}; choose from {GROUPBY_BACKENDS}"
-            )
         self.bin_duration = float(bin_duration)
         self.max_flows = max_flows
-        self.groupby = groupby
         order = order_key if order_key is not None else (lambda code: code)
-        self._open: _UnboundedBin | _HashBin | _BoundedBin
+        self._open: _HashBin | _BoundedBin
         if max_flows is not None:
             self._open = _BoundedBin(max_flows, order)
-        elif groupby == "hash":
-            self._open = _HashBin()
         else:
-            self._open = _UnboundedBin()
+            self._open = _HashBin()
         self._current_bin = 0
         self._completed: list[BinAccount] = []
         self._packets_seen = 0
@@ -614,7 +526,7 @@ class FlowAccountingEngine:
         in_bounds: bool = False,
         const_size: int | None = None,
     ) -> bool:
-        """Hash-path chunk observation without per-packet bin indices.
+        """Unbounded chunk observation without per-packet bin indices.
 
         Applies only to time-sorted chunks that continue a time-sorted
         stream: measurement-bin boundaries are then located with a
@@ -682,13 +594,13 @@ class FlowAccountingEngine:
         return True
 
     def reserve_codes(self, low: int, high: int) -> bool:
-        """Pre-size the hash backend for a known code universe.
+        """Pre-size the hash accumulator for a known code universe.
 
-        Returns ``True`` when the open bin is hash-backed and its table
-        is identity-addressed covering ``[low, high]`` — the caller may
+        Returns ``True`` when the engine is unbounded and its table is
+        identity-addressed covering ``[low, high]`` — the caller may
         then pass ``in_bounds=True`` to :meth:`observe_sorted_chunk`
-        for codes drawn from that range.  Sort and bounded backends
-        return ``False`` (they have nothing to reserve).
+        for codes drawn from that range.  Bounded engines return
+        ``False`` (they have nothing to reserve).
         """
         if isinstance(self._open, _HashBin):
             return self._open.reserve_dense(int(low), int(high))
@@ -709,8 +621,8 @@ class FlowAccountingEngine:
         ``timestamps`` sorted non-decreasing and non-negative, ``codes``
         aligned ``int64``, ``sizes_bytes`` aligned and positive.  Chunks
         from a :class:`PacketBatch` satisfy all of it by construction.
-        Hash-backed engines go straight to the fused fast path;
-        everything else falls back to the validating path (which
+        Unbounded engines go straight to the fused fast path; bounded
+        ones fall back to the validating path (which
         re-checks, so a broken guarantee degrades to the generic error
         behaviour rather than silent corruption).
 
@@ -835,7 +747,6 @@ class FlowAccountingEngine:
 
 
 __all__ = [
-    "GROUPBY_BACKENDS",
     "BinAccount",
     "FlowAccountingEngine",
     "aggregate_codes",

@@ -4,9 +4,9 @@ The link monitor of the paper classifies (sampled) packets into flows
 according to a flow definition (5-tuple or destination prefix) and keeps
 one record per flow for the duration of a measurement interval.  The
 :class:`FlowClassifier` implements that classification step for streams
-of :class:`~repro.flows.packets.Packet` objects; it is the *object-level
-reference path* against which the columnar engine
-(:mod:`repro.flows.accounting`) is asserted bit-identical.
+of :class:`~repro.flows.packets.Packet` objects; the tests build a
+per-packet binned table on it as the oracle the columnar engine
+(:mod:`repro.flows.accounting`) is asserted bit-identical to.
 
 Bulk ingestion (:meth:`FlowClassifier.observe_batch`) routes through the
 engine's group-by aggregation, and eviction

@@ -9,19 +9,13 @@ simulations exercise.
 
 :class:`BinnedFlowTable` implements that behaviour, optionally with a
 bounded number of flow records (evicting the smallest flows when full,
-as the related-work heavy-hitter systems do).  Two interchangeable
-backends exist:
-
-* ``"columnar"`` (the default) — a thin object-API wrapper over the
-  :class:`~repro.flows.accounting.FlowAccountingEngine`: packets are
-  buffered into small column chunks and folded in vectorised;
-* ``"object"`` — the legacy per-packet path over
-  :class:`~repro.flows.classifier.FlowClassifier`, kept as the
-  reference implementation.
-
-The two backends produce bit-identical bins, rankings and eviction
-counts for any packet stream (asserted by the property-based tests in
-``tests/test_accounting.py``).
+as the related-work heavy-hitter systems do).  It is a thin object-API
+wrapper over the :class:`~repro.flows.accounting.FlowAccountingEngine`:
+packets are buffered into small column chunks and folded in vectorised.
+The property-based tests in ``tests/test_accounting.py`` check its bins,
+rankings and eviction counts against a per-packet
+:class:`~repro.flows.classifier.FlowClassifier` table kept as an oracle
+in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -31,18 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import BinAccount, FlowAccountingEngine
-from .classifier import FlowClassifier
 from .keys import FiveTupleKeyPolicy, FlowKeyPolicy
 from .packets import Packet
 from .records import FlowSummary, ranking_sort_key
 
-#: Packets buffered by the columnar backend before folding into the
-#: engine; large enough to amortise the NumPy call overhead, small
-#: enough to be invisible next to a bin.
+#: Packets buffered before folding into the engine; large enough to
+#: amortise the NumPy call overhead, small enough to be invisible next
+#: to a bin.
 _BUFFER_PACKETS = 4096
-
-#: Accepted ``BinnedFlowTable`` backends.
-TABLE_BACKENDS = ("columnar", "object")
 
 
 @dataclass(frozen=True)
@@ -94,11 +84,6 @@ class BinnedFlowTable:
         When the table is full and a new flow arrives, the currently
         smallest tracked flow is evicted (the strategy the paper's
         related work uses to bound memory).  ``None`` means unbounded.
-    backend:
-        ``"columnar"`` (default) accounts through the vectorised
-        :class:`~repro.flows.accounting.FlowAccountingEngine`;
-        ``"object"`` uses the legacy per-packet classifier.  Results
-        are bit-identical either way.
     """
 
     def __init__(
@@ -106,48 +91,37 @@ class BinnedFlowTable:
         bin_duration: float,
         key_policy: FlowKeyPolicy | None = None,
         max_flows: int | None = None,
-        backend: str = "columnar",
     ) -> None:
         if bin_duration <= 0:
             raise ValueError(f"bin_duration must be positive, got {bin_duration}")
         if max_flows is not None and max_flows < 1:
             raise ValueError("max_flows must be at least 1 when given")
-        if backend not in TABLE_BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {TABLE_BACKENDS}")
         self.bin_duration = float(bin_duration)
         self.max_flows = max_flows
-        self.backend = backend
         self.key_policy = key_policy if key_policy is not None else FiveTupleKeyPolicy()
         self._current_bin_index = 0
         self._completed: list[FlowBin] = []
-        if backend == "columnar":
-            self._encoder = self.key_policy.make_encoder()
-            self._engine = FlowAccountingEngine(
-                self.bin_duration, max_flows=max_flows, order_key=self._encoder.order_key
-            )
-            self._buffer_times: list[float] = []
-            self._buffer_codes: list[int] = []
-            self._buffer_sizes: list[int] = []
-        else:
-            self._classifier = FlowClassifier(self.key_policy)
-            self._evictions = 0
+        self._encoder = self.key_policy.make_encoder()
+        self._engine = FlowAccountingEngine(
+            self.bin_duration, max_flows=max_flows, order_key=self._encoder.order_key
+        )
+        self._buffer_times: list[float] = []
+        self._buffer_codes: list[int] = []
+        self._buffer_sizes: list[int] = []
 
     # ------------------------------------------------------------------
     @property
     def completed_bins(self) -> list[FlowBin]:
         """Bins that have been closed so far."""
-        if self.backend == "columnar":
-            self._drain()
-            self._collect()
+        self._drain()
+        self._collect()
         return list(self._completed)
 
     @property
     def evictions(self) -> int:
         """Number of flow records evicted because of the memory bound."""
-        if self.backend == "columnar":
-            self._drain()
-            return self._engine.evictions
-        return self._evictions
+        self._drain()
+        return self._engine.evictions
 
     def _bin_index_of(self, timestamp: float) -> int:
         return int(timestamp // self.bin_duration)
@@ -157,46 +131,22 @@ class BinnedFlowTable:
         bin_index = self._bin_index_of(packet.timestamp)
         if bin_index < self._current_bin_index:
             raise ValueError("packets must be observed in non-decreasing time order")
-        if self.backend == "columnar":
-            self._current_bin_index = bin_index
-            code = self._encoder.encode_key(self.key_policy.key_of(packet.five_tuple))
-            self._buffer_times.append(packet.timestamp)
-            self._buffer_codes.append(code)
-            self._buffer_sizes.append(packet.size_bytes)
-            if len(self._buffer_times) >= _BUFFER_PACKETS:
-                self._drain()
-            return
-        while bin_index > self._current_bin_index:
-            self._close_object_bin(self._current_bin_index)
-            self._current_bin_index += 1
-        key = self._classifier.key_policy.key_of(packet.five_tuple)
-        is_new_flow = not self._classifier.tracks(key)
-        if (
-            is_new_flow
-            and self.max_flows is not None
-            and self._classifier.num_flows >= self.max_flows
-        ):
-            self._classifier.evict_smallest()
-            self._evictions += 1
-        self._classifier.observe(packet)
+        self._current_bin_index = bin_index
+        code = self._encoder.encode_key(self.key_policy.key_of(packet.five_tuple))
+        self._buffer_times.append(packet.timestamp)
+        self._buffer_codes.append(code)
+        self._buffer_sizes.append(packet.size_bytes)
+        if len(self._buffer_times) >= _BUFFER_PACKETS:
+            self._drain()
 
     def flush(self) -> list[FlowBin]:
         """Close the current bin (if non-empty) and return all completed bins."""
-        if self.backend == "columnar":
-            self._drain()
-            self._engine.close_current()
-            self._collect()
-            self._current_bin_index = max(
-                self._current_bin_index, self._engine.current_bin_index
-            )
-            return list(self._completed)
-        if self._classifier.num_flows > 0:
-            self._close_object_bin(self._current_bin_index)
-            self._current_bin_index += 1
+        self._drain()
+        self._engine.close_current()
+        self._collect()
+        self._current_bin_index = max(self._current_bin_index, self._engine.current_bin_index)
         return list(self._completed)
 
-    # ------------------------------------------------------------------
-    # Columnar backend internals
     # ------------------------------------------------------------------
     def _drain(self) -> None:
         """Fold the buffered packets into the engine."""
@@ -241,23 +191,5 @@ class BinnedFlowTable:
             flows=tuple(flows),
         )
 
-    # ------------------------------------------------------------------
-    # Object backend internals
-    # ------------------------------------------------------------------
-    def _close_object_bin(self, bin_index: int) -> None:
-        flows = tuple(self._classifier.export_sorted())
-        if not flows:
-            # Empty measurement intervals produce no report.
-            return
-        self._completed.append(
-            FlowBin(
-                index=bin_index,
-                start_time=bin_index * self.bin_duration,
-                end_time=(bin_index + 1) * self.bin_duration,
-                flows=flows,
-            )
-        )
-        self._classifier.reset()
 
-
-__all__ = ["BinnedFlowTable", "FlowBin", "TABLE_BACKENDS"]
+__all__ = ["BinnedFlowTable", "FlowBin"]

@@ -282,7 +282,6 @@ def run_monitor_stream(
     bin_duration: float,
     top_t: int,
     max_flows: int | None = None,
-    fused: bool = True,
 ) -> MonitorOutcome:
     """Monitor-in-the-loop evaluation: sampler -> accounting engine -> metrics.
 
@@ -301,6 +300,14 @@ def run_monitor_stream(
     monitor's account are drained and scored, so memory never scales
     with the number of bins.
 
+    Each chunk makes a single fused pass: the flow-group codes are
+    gathered once, every engine consumes trusted masked views through
+    :meth:`~repro.flows.accounting.FlowAccountingEngine.observe_sorted_chunk`
+    (no re-validation, no per-engine code gathers), and the samplers'
+    keep-masks are applied as index gathers.  The test suite checks the
+    outcome bit for bit against a per-engine ``observe_chunk`` oracle in
+    ``tests/oracles/monitor.py``.
+
     Parameters
     ----------
     chunks:
@@ -317,17 +324,6 @@ def run_monitor_stream(
     max_flows:
         Flow-memory bound of each stream's monitor (``None`` =
         unbounded).
-    fused:
-        When ``True`` (the default), each chunk makes a single fused
-        pass: the flow-group codes are gathered once, every engine
-        consumes trusted masked views through
-        :meth:`~repro.flows.accounting.FlowAccountingEngine.observe_sorted_chunk`
-        (no re-validation, no per-engine code gathers), and the
-        samplers' keep-masks are applied as index gathers.  ``False``
-        keeps the reference pass — one validating ``observe_chunk``
-        per engine per chunk.  The two are bit-identical (asserted in
-        the test suite); the samplers consume the same draws either
-        way.
 
     Returns
     -------
@@ -387,46 +383,33 @@ def run_monitor_stream(
             telemetry.count("monitor.packets", len(chunk))
             telemetry.count("monitor.bytes", int(chunk.sizes_bytes.sum()))
 
-        if fused:
-            # Fused pass: one code gather and one constant-size check
-            # per chunk, then sampler decision + truth accounting +
-            # monitor accounting all consume the same trusted columns.
-            # Masked views are index gathers of the shared arrays — no
-            # per-engine re-validation, no intermediate batch objects.
-            with telemetry.span("monitor.account"):
-                timestamps = chunk.timestamps
-                sizes = chunk.sizes_bytes
-                codes = groups.take(chunk.flow_ids)
-                const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
-                truth.observe_sorted_chunk(
-                    timestamps,
-                    codes,
-                    sizes,
-                    in_bounds=truth.reserve_codes(group_low, group_high),
+        # One code gather and one constant-size check per chunk, then
+        # sampler decision + truth accounting + monitor accounting all
+        # consume the same trusted columns.  Masked views are index
+        # gathers of the shared arrays: no per-engine re-validation, no
+        # intermediate batch objects.
+        with telemetry.span("monitor.account"):
+            timestamps = chunk.timestamps
+            sizes = chunk.sizes_bytes
+            codes = groups.take(chunk.flow_ids)
+            const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
+            truth.observe_sorted_chunk(
+                timestamps,
+                codes,
+                sizes,
+                in_bounds=truth.reserve_codes(group_low, group_high),
+                const_size=const_size,
+            )
+        with telemetry.span("monitor.sample"):
+            for stream, sampler in enumerate(stream_samplers):
+                keep = np.flatnonzero(np.asarray(sampler.sample_mask(chunk), dtype=bool))
+                monitors[stream].observe_sorted_chunk(
+                    timestamps.take(keep),
+                    codes.take(keep),
+                    sizes.take(keep),
+                    in_bounds=monitors[stream].reserve_codes(group_low, group_high),
                     const_size=const_size,
                 )
-            with telemetry.span("monitor.sample"):
-                for stream, sampler in enumerate(stream_samplers):
-                    keep = np.flatnonzero(
-                        np.asarray(sampler.sample_mask(chunk), dtype=bool)
-                    )
-                    monitors[stream].observe_sorted_chunk(
-                        timestamps.take(keep),
-                        codes.take(keep),
-                        sizes.take(keep),
-                        in_bounds=monitors[stream].reserve_codes(group_low, group_high),
-                        const_size=const_size,
-                    )
-        else:
-            with telemetry.span("monitor.account"):
-                codes = groups[chunk.flow_ids]
-                truth.observe_chunk(chunk.timestamps, codes, chunk.sizes_bytes)
-            with telemetry.span("monitor.sample"):
-                for stream, sampler in enumerate(stream_samplers):
-                    mask = np.asarray(sampler.sample_mask(chunk), dtype=bool)
-                    monitors[stream].observe_chunk(
-                        chunk.timestamps[mask], codes[mask], chunk.sizes_bytes[mask]
-                    )
         # Bins the stream head has moved past can never grow again.
         for account in truth.drain_completed():
             _score(account)

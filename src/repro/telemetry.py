@@ -10,7 +10,7 @@ ever influencing what it computes:
 * **Counters** (:func:`count`) accumulate monotonically increasing
   totals (``"executor.packets"``, ``"store.get.hit"``).
 * **Gauges** (:func:`gauge`) record a last-known value
-  (``"source.buffer_capacity"``, ``"source.assembly_backend"``).
+  (``"source.buffer_capacity"``, ``"parallel.backend"``).
 * **Histograms** (:func:`observe`) bucket observations by power-of-two
   magnitude so merging is a plain bucket-count sum.
 * **Spans** (:func:`span`) time named stages

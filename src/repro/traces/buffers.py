@@ -32,8 +32,8 @@ stable-argsorting, and lost in every regime (two equal 262k runs:
 1.9ms).  NumPy's stable sort is timsort, whose run detection and
 galloping merges make it a near-linear multi-run merge exactly when
 the input is a concatenation of sorted runs — so the concat+argsort
-shape *is* the fast path here, and the win over the reference backend
-comes from sorting only random-dominated blocks with
+shape *is* the fast path here, and the win over plain
+concatenate-and-argsort assembly comes from sorting only random-dominated blocks with
 :func:`stable_order`, amortising buffer growth, and emitting zero-copy
 trusted chunks.  Keep the receipts in mind before "optimising" this
 back.
@@ -317,7 +317,7 @@ class ChunkBuffer:
         """Append packets, optionally offsetting their flow ids in place.
 
         The offset is applied while copying into the buffer, fusing the
-        ``flow_ids + offset`` temporary the reference path allocates.
+        ``flow_ids + offset`` temporary a plain concatenation allocates.
         """
         count = int(timestamps.size)
         if count == 0:

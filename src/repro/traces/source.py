@@ -25,16 +25,13 @@ replicates packets, and :class:`TimeWarpSource` reshapes the arrival
 process through a monotone time warp (diurnal load).  The named
 workloads built from these live in :mod:`repro.scenarios`.
 
-Chunk *assembly* — how pending packets are buffered, ordered and cut
-into emitted chunks — has two interchangeable backends (see
-``docs/traces.md``, "Source throughput"): the default ``"fast"`` backend
-builds on the amortised buffers and searchsorted merges of
-:mod:`repro.traces.buffers`, while ``"reference"`` keeps the original
-concatenate-and-stable-argsort implementation.  Both produce
-bit-identical chunks (same boundaries, same dtypes) for every source,
-chunk size and clip — property-tested in ``tests/test_sources.py`` and
-re-asserted by the benchmark harness before any number is recorded.
-Select per call (``assembly="reference"``) or per scope:
+Chunks are assembled on the amortised buffers and searchsorted merges
+of :mod:`repro.traces.buffers` (see ``docs/traces.md``, "Source
+throughput"): pending packets live in reusable buffers, emitted chunks
+are zero-copy views of freshly ordered columns, and batches whose
+invariants hold by construction skip re-validation.  The test suite
+checks every source, chunk size and clip bit for bit against the
+concatenate-and-stable-argsort oracle in ``tests/oracles/sources.py``.
 
 >>> import numpy as np
 >>> from repro.traces.flow_trace import FlowLevelTrace
@@ -47,12 +44,8 @@ Select per call (``assembly="reference"``) or per scope:
 >>> chunks = list(source.iter_chunks(np.random.default_rng(0), chunk_packets=4))
 >>> sum(len(chunk) for chunk in chunks)
 9
->>> with use_assembly("reference"):
-...     reference = list(source.iter_chunks(np.random.default_rng(0), chunk_packets=4))
->>> all(
-...     np.array_equal(a.timestamps, b.timestamps)
-...     for a, b in zip(chunks, reference)
-... )
+>>> whole = list(source.iter_chunks(np.random.default_rng(0), chunk_packets=None))
+>>> bool(np.array_equal(np.concatenate([c.timestamps for c in chunks]), whole[0].timestamps))
 True
 """
 
@@ -60,7 +53,6 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,50 +69,6 @@ from .flow_trace import FlowLevelTrace
 #: rounding error next to a backbone-scale packet trace.
 DEFAULT_CHUNK_PACKETS = 1 << 18
 
-#: The two chunk-assembly backends: ``"fast"`` (amortised buffers +
-#: searchsorted merges, the default) and ``"reference"`` (the original
-#: concatenate + stable-argsort path, kept as the bit-checked oracle).
-ASSEMBLY_BACKENDS = ("fast", "reference")
-
-_assembly_default: str = "fast"
-
-
-def default_assembly() -> str:
-    """The chunk-assembly backend used when none is requested explicitly."""
-    return _assembly_default
-
-
-def _resolve_assembly(assembly: str | None) -> str:
-    backend = _assembly_default if assembly is None else assembly
-    if backend not in ASSEMBLY_BACKENDS:
-        raise ValueError(
-            f"unknown assembly backend {backend!r}; expected one of {ASSEMBLY_BACKENDS}"
-        )
-    return backend
-
-
-@contextmanager
-def use_assembly(backend: str) -> Iterator[None]:
-    """Scope the default chunk-assembly backend (harness/test helper).
-
-    This is an execution knob, not an experiment parameter: both
-    backends emit bit-identical streams, so the choice must never reach
-    a :class:`~repro.spec.RunSpec` or a store cache key.
-
-    >>> with use_assembly("reference"):
-    ...     default_assembly()
-    'reference'
-    >>> default_assembly()
-    'fast'
-    """
-    global _assembly_default
-    previous = _assembly_default
-    _assembly_default = _resolve_assembly(backend)
-    try:
-        yield
-    finally:
-        _assembly_default = previous
-
 
 def iter_expanded_chunks(
     trace: FlowLevelTrace,
@@ -128,7 +76,6 @@ def iter_expanded_chunks(
     chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
     clip_to_duration: float | None = None,
     packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
-    assembly: str | None = None,
 ) -> Iterator[PacketBatch]:
     """Expand a flow-level trace into time-ordered packet chunks.
 
@@ -144,6 +91,18 @@ def iter_expanded_chunks(
     Only the current chunk and the buffered tails of admitted flows are
     in memory at any time; with ``chunk_packets=None`` everything is
     admitted at once (materialised mode).
+
+    The pending tail lives in a reusable :class:`ChunkBuffer`.  Each
+    admission round draws the block's placements *into* the buffer
+    (``rng.random(out=...)``, then scaled and shifted in place, which
+    gives bitwise the values of ``starts + u * durations``), orders the
+    whole live region with :func:`stable_order` (introsort plus an exact
+    tie fix-up) and gathers the sorted columns once into fresh arrays.
+    Clip and emission are then suffix/prefix ``searchsorted`` cuts, so
+    emitted chunks are zero-copy views of arrays that are never written
+    again, and only the small pending tail is copied back.  Stable
+    ordering of the buffer's (pending ++ block) rows keeps ties in
+    admission order in every round.
 
     Parameters
     ----------
@@ -161,117 +120,12 @@ def iter_expanded_chunks(
         tails that spill past the measurement window).
     packet_size_bytes:
         Constant per-packet size recorded in the emitted batches.
-    assembly:
-        Chunk-assembly backend (``"fast"``/``"reference"``); ``None``
-        uses the scoped default (see :func:`use_assembly`).  Both
-        backends yield bit-identical chunks.
 
     Yields
     ------
     PacketBatch
         Time-sorted packet chunks whose concatenation is the global
         time-sorted stream.
-    """
-    backend = _resolve_assembly(assembly)
-    if telemetry.enabled:
-        telemetry.gauge("source.assembly_backend", backend)
-    if backend == "fast":
-        return _iter_expanded_fast(trace, rng, chunk_packets, clip_to_duration, packet_size_bytes)
-    return _iter_expanded_reference(trace, rng, chunk_packets, clip_to_duration, packet_size_bytes)
-
-
-def _iter_expanded_reference(
-    trace: FlowLevelTrace,
-    rng: np.random.Generator,
-    chunk_packets: int | None,
-    clip_to_duration: float | None,
-    packet_size_bytes: int,
-) -> Iterator[PacketBatch]:
-    """The original concatenate + stable-argsort expansion (oracle path)."""
-    num_flows = trace.num_flows
-    if num_flows == 0:
-        return
-    if chunk_packets is not None and chunk_packets < 1:
-        raise ValueError("chunk_packets must be positive when given")
-
-    # Admission (and RNG draw) order is start-time order, so the draw
-    # sequence is the same for every chunk size.
-    order = np.argsort(trace.start_times, kind="stable").astype(np.int64)
-    starts = trace.start_times[order]
-    durations = trace.durations[order]
-    sizes = trace.sizes_packets[order]
-    cumulative = np.cumsum(sizes)
-    total_packets = int(cumulative[-1])
-    target = total_packets if chunk_packets is None else int(chunk_packets)
-
-    pending_ts = np.empty(0, dtype=np.float64)
-    pending_ids = np.empty(0, dtype=np.int64)
-    lo = 0
-    while lo < num_flows or pending_ts.size:
-        if lo < num_flows:
-            # Admit the next block of flows (~target packets, at least one flow).
-            base = int(cumulative[lo - 1]) if lo else 0
-            hi = int(np.searchsorted(cumulative, base + target, side="right"))
-            hi = max(hi, lo + 1)
-            block_sizes = sizes[lo:hi]
-            count = int(cumulative[hi - 1]) - base
-            flow_ids = np.repeat(order[lo:hi], block_sizes)
-            flow_starts = np.repeat(starts[lo:hi], block_sizes)
-            flow_durations = np.repeat(durations[lo:hi], block_sizes)
-            timestamps = flow_starts + rng.random(count) * flow_durations
-            if clip_to_duration is not None:
-                keep = timestamps < clip_to_duration
-                timestamps = timestamps[keep]
-                flow_ids = flow_ids[keep]
-            pending_ts = np.concatenate((pending_ts, timestamps))  # reprolint: disable=source-hot-concat -- retained reference path, bit-checked against fast
-            pending_ids = np.concatenate((pending_ids, flow_ids))  # reprolint: disable=source-hot-concat -- retained reference path, bit-checked against fast
-            lo = hi
-            frontier = float(starts[lo]) if lo < num_flows else np.inf
-        else:
-            frontier = np.inf
-
-        # Packets before the next flow's start time are final: every
-        # not-yet-admitted flow starts (and therefore transmits) later.
-        emit = pending_ts < frontier
-        if emit.any():
-            emit_ts = pending_ts[emit]
-            emit_ids = pending_ids[emit]
-            pending_ts = pending_ts[~emit]
-            pending_ids = pending_ids[~emit]
-            sort = np.argsort(emit_ts, kind="stable")
-            emit_ts = emit_ts[sort]
-            emit_ids = emit_ids[sort]
-            sizes_bytes = np.full(emit_ts.size, packet_size_bytes, dtype=np.int32)
-            if telemetry.enabled:
-                telemetry.count("source.chunks")
-                telemetry.count("source.packets", int(emit_ts.size))
-            yield PacketBatch(emit_ts, emit_ids, sizes_bytes)
-
-
-def _iter_expanded_fast(
-    trace: FlowLevelTrace,
-    rng: np.random.Generator,
-    chunk_packets: int | None,
-    clip_to_duration: float | None,
-    packet_size_bytes: int,
-) -> Iterator[PacketBatch]:
-    """Buffer-pooled expansion — bit-identical to the reference path.
-
-    Per admission round the reference concatenates the new block onto
-    the pending arrays, masks twice, and stable-argsorts the emitted
-    subset (a slow comparison timsort on random placements).  Here the
-    pending tail lives in a reusable :class:`ChunkBuffer`; the block's
-    placements are drawn *into* the buffer (``rng.random(out=...)``,
-    then scaled/shifted in place — IEEE-commutative, so the values are
-    bitwise those of ``starts + u * durations``), the whole live region
-    is ordered with :func:`stable_order` (introsort + exact tie
-    fix-up), and the sorted columns are gathered once into fresh output
-    arrays.  Clip and emission are then suffix/prefix ``searchsorted``
-    cuts: emitted chunks are zero-copy views of the fresh arrays (never
-    written again), and only the small pending tail is copied back into
-    the buffer.  Stable ordering of the buffer's (pending ++ block) row
-    order reproduces the reference's tie order exactly, by induction
-    over rounds.
     """
     num_flows = trace.num_flows
     if num_flows == 0:
@@ -307,8 +161,7 @@ def _iter_expanded_fast(
         merged_ts = pending.timestamps[sort]
         merged_ids = pending.flow_ids[sort]
         if clip_to_duration is not None:
-            # Clipped packets form a suffix of the sorted round; the
-            # reference drops the same set via a mask before sorting.
+            # Clipped packets form a suffix of the sorted round.
             keep = int(np.searchsorted(merged_ts, clip_to_duration, side="left"))
             merged_ts = merged_ts[:keep]
             merged_ids = merged_ids[:keep]
@@ -438,8 +291,6 @@ class FlowTraceSource(PacketSource):
         self,
         rng: np.random.Generator,
         chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
-        *,
-        assembly: str | None = None,
     ) -> Iterator[PacketBatch]:
         return iter_expanded_chunks(
             self.trace,
@@ -447,7 +298,6 @@ class FlowTraceSource(PacketSource):
             chunk_packets=chunk_packets,
             clip_to_duration=self.clip_to_duration,
             packet_size_bytes=self.packet_size_bytes,
-            assembly=assembly,
         )
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
@@ -513,12 +363,9 @@ class PacketTableSource(PacketSource):
         self,
         rng: np.random.Generator,
         chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
-        *,
-        assembly: str | None = None,
     ) -> Iterator[PacketBatch]:
         if chunk_packets is not None and chunk_packets < 1:
             raise ValueError("chunk_packets must be positive when given")
-        trusted = _resolve_assembly(assembly) == "fast"
         batch = self._batch
         total = len(batch)
         if total == 0:
@@ -526,17 +373,12 @@ class PacketTableSource(PacketSource):
         step = total if chunk_packets is None else int(chunk_packets)
         for lo in range(0, total, step):
             hi = min(lo + step, total)
-            if trusted:
-                # The stored batch was validated at construction; every
-                # slice of it satisfies the invariants, so chunks are
-                # emitted as zero-copy views with no re-validation.
-                yield PacketBatch.from_trusted_columns(
-                    batch.timestamps[lo:hi], batch.flow_ids[lo:hi], batch.sizes_bytes[lo:hi]
-                )
-            else:
-                yield PacketBatch(
-                    batch.timestamps[lo:hi], batch.flow_ids[lo:hi], batch.sizes_bytes[lo:hi]
-                )
+            # The stored batch was validated at construction; every
+            # slice of it satisfies the invariants, so chunks are
+            # emitted as zero-copy views with no re-validation.
+            yield PacketBatch.from_trusted_columns(
+                batch.timestamps[lo:hi], batch.flow_ids[lo:hi], batch.sizes_bytes[lo:hi]
+            )
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
         return np.arange(self.num_flows, dtype=np.int64)
@@ -625,29 +467,14 @@ class MergeSource(PacketSource):
         self,
         rng: np.random.Generator,
         chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
-        *,
-        assembly: str | None = None,
     ) -> Iterator[PacketBatch]:
-        if _resolve_assembly(assembly) == "fast":
-            return self._iter_chunks_fast(rng, chunk_packets)
-        return self._iter_chunks_reference(rng, chunk_packets)
-
-    def _iter_chunks_fast(
-        self,
-        rng: np.random.Generator,
-        chunk_packets: int | None,
-    ) -> Iterator[PacketBatch]:
-        """Zero-copy k-way merge — bit-identical to the reference.
-
-        Each part's pending packets sit in a :class:`RunQueue` of
-        chunk views (no per-load copying; only the flow-id offset
-        allocates, and not at all for the first part).  Emission cuts
-        every part at the bound and merges the per-part runs with
-        earlier parts winning ties — the same total order as the
-        reference's stable argsort over the part-ordered
-        concatenation.  The merged columns are freshly allocated, so
-        the emitted chunks are zero-copy views into them.
-        """
+        # Each part's pending packets sit in a RunQueue of chunk views
+        # (no per-load copying; only the flow-id offset allocates, and
+        # not at all for the first part).  Emission cuts every part at
+        # the bound and merges the per-part runs with earlier parts
+        # winning ties: a stable sort of the part-ordered concatenation.
+        # The merged columns are freshly allocated, so the emitted
+        # chunks are zero-copy views into them.
         if chunk_packets is not None and chunk_packets < 1:
             raise ValueError("chunk_packets must be positive when given")
         children = rng.spawn(len(self.sources))
@@ -725,121 +552,6 @@ class MergeSource(PacketSource):
                     if queues[index].last_time() <= bound:
                         _load(index)
 
-    def _iter_chunks_reference(
-        self,
-        rng: np.random.Generator,
-        chunk_packets: int | None,
-    ) -> Iterator[PacketBatch]:
-        """The original concatenate + stable-argsort merge (oracle path)."""
-        if chunk_packets is not None and chunk_packets < 1:
-            raise ValueError("chunk_packets must be positive when given")
-        # One child generator per part, derived once up front — each
-        # part's randomness is then consumed independently of both the
-        # merge schedule and the chunk size.
-        children = rng.spawn(len(self.sources))
-        if chunk_packets is None:
-            # Materialised mode: one chunk holding the whole merged
-            # stream.  The source-ordered concatenation plus a stable
-            # sort produces the same total order as the incremental
-            # merge below (ties by source position, then in-source).
-            parts = [
-                list(source.iter_chunks(child, None))
-                for source, child in zip(self.sources, children)
-            ]
-            ts = [c.timestamps for chunks in parts for c in chunks]
-            ids = [
-                c.flow_ids + self._flow_offsets[index]
-                for index, chunks in enumerate(parts)
-                for c in chunks
-            ]
-            sizes = [c.sizes_bytes for chunks in parts for c in chunks]
-            if not ts or not sum(arr.size for arr in ts):
-                return
-            all_ts = np.concatenate(ts)
-            order = np.argsort(all_ts, kind="stable")
-            yield PacketBatch(
-                all_ts[order], np.concatenate(ids)[order], np.concatenate(sizes)[order]
-            )
-            return
-        iterators = [
-            iter(source.iter_chunks(child, chunk_packets))
-            for source, child in zip(self.sources, children)
-        ]
-        n = len(self.sources)
-        pending_ts = [np.empty(0, dtype=np.float64) for _ in range(n)]
-        pending_ids = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        pending_sizes = [np.empty(0, dtype=np.int32) for _ in range(n)]
-        exhausted = [False] * n
-
-        def _load(index: int) -> bool:
-            """Append the part's next non-empty chunk to its pending buffer."""
-            while True:
-                try:
-                    chunk = next(iterators[index])
-                except StopIteration:
-                    exhausted[index] = True
-                    return False
-                if len(chunk) == 0:
-                    continue
-                pending_ts[index] = np.concatenate((pending_ts[index], chunk.timestamps))  # reprolint: disable=source-hot-concat -- retained reference path, bit-checked against fast
-                pending_ids[index] = np.concatenate(  # reprolint: disable=source-hot-concat -- retained reference path, bit-checked against fast
-                    (pending_ids[index], chunk.flow_ids + self._flow_offsets[index])
-                )
-                pending_sizes[index] = np.concatenate((pending_sizes[index], chunk.sizes_bytes))  # reprolint: disable=source-hot-concat -- retained reference path, bit-checked against fast
-                return True
-
-        def _emit(bound: float) -> Iterator[PacketBatch]:
-            """Yield every pending packet strictly below ``bound``, merged.
-
-            Packets below the bound are final: every part's future
-            packets arrive at or after its last loaded timestamp, and
-            the bound is the minimum of those over the live parts.
-            """
-            parts_ts, parts_ids, parts_sizes = [], [], []
-            for index in range(n):
-                cut = int(np.searchsorted(pending_ts[index], bound, side="left"))
-                if cut == 0:
-                    continue
-                parts_ts.append(pending_ts[index][:cut])
-                parts_ids.append(pending_ids[index][:cut])
-                parts_sizes.append(pending_sizes[index][:cut])
-                pending_ts[index] = pending_ts[index][cut:]
-                pending_ids[index] = pending_ids[index][cut:]
-                pending_sizes[index] = pending_sizes[index][cut:]
-            if not parts_ts:
-                return
-            ts = np.concatenate(parts_ts)
-            ids = np.concatenate(parts_ids)
-            sizes = np.concatenate(parts_sizes)
-            # Stable sort over the source-ordered concatenation: ties at
-            # equal timestamps resolve by source position, then by
-            # in-source order — the same total order for any chunk size.
-            order = np.argsort(ts, kind="stable")
-            ts, ids, sizes = ts[order], ids[order], sizes[order]
-            step = ts.size if chunk_packets is None else int(chunk_packets)
-            for lo in range(0, ts.size, step):
-                hi = min(lo + step, ts.size)
-                yield PacketBatch(ts[lo:hi], ids[lo:hi], sizes[lo:hi])
-
-        for index in range(n):
-            _load(index)
-        while True:
-            live = [index for index in range(n) if not exhausted[index]]
-            if not live:
-                yield from _emit(np.inf)
-                return
-            bound = min(float(pending_ts[index][-1]) for index in live)
-            emitted = False
-            for batch in _emit(bound):
-                emitted = True
-                yield batch
-            if not emitted:
-                # Everything pending sits exactly at the bound; pull more
-                # data from the blocking parts so the bound can advance.
-                for index in live:
-                    if float(pending_ts[index][-1]) <= bound:
-                        _load(index)
-
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
         parts = []
         offset = 0
@@ -907,58 +619,14 @@ class LoadScaleSource(PacketSource):
         self,
         rng: np.random.Generator,
         chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
-        *,
-        assembly: str | None = None,
     ) -> Iterator[PacketBatch]:
-        if _resolve_assembly(assembly) == "fast":
-            return self._iter_chunks_fast(rng, chunk_packets)
-        return self._iter_chunks_reference(rng, chunk_packets)
-
-    def _iter_chunks_reference(
-        self,
-        rng: np.random.Generator,
-        chunk_packets: int | None,
-    ) -> Iterator[PacketBatch]:
-        """The original always-hash, always-validate path (oracle)."""
-        # One draw up front; all later randomness is hash-derived so the
-        # rng consumption cannot depend on the chunk boundaries.
-        seed = np.uint64(rng.integers(0, 2**63, dtype=np.int64))
-        base = int(self.factor)
-        fraction = self.factor - base
-        position = 0
-        for chunk in self.source.iter_chunks(rng, chunk_packets):
-            count = len(chunk)
-            if count == 0:
-                continue
-            indices = np.arange(position, position + count, dtype=np.uint64)
-            position += count
-            uniforms = _mix64(indices ^ seed).astype(np.float64) / float(2**64)
-            repeats = base + (uniforms < fraction).astype(np.int64)
-            if not repeats.any():
-                continue
-            yield PacketBatch(
-                np.repeat(chunk.timestamps, repeats),
-                np.repeat(chunk.flow_ids, repeats),
-                np.repeat(chunk.sizes_bytes, repeats),
-            )
-
-    def _iter_chunks_fast(
-        self,
-        rng: np.random.Generator,
-        chunk_packets: int | None,
-    ) -> Iterator[PacketBatch]:
-        """Shortcut integer factors; skip re-validation everywhere.
-
-        ``np.repeat`` preserves sortedness, dtypes and sign, so the
-        replicated columns satisfy every batch invariant by
-        construction and are emitted through the trusted constructor.
-        Integer factors need no per-packet hash at all: the fractional
-        draw ``uniforms < fraction`` is constant-false, making the
-        repeat count the same scalar for every packet.  The up-front
-        seed draw and the inner source's RNG consumption are preserved
-        exactly, so the stream stays chunk-size invariant and
-        bit-identical to the reference.
-        """
+        # np.repeat preserves sortedness, dtypes and sign, so the
+        # replicated columns satisfy every batch invariant by
+        # construction and skip re-validation.  One draw up front; all
+        # later randomness is hash-derived so the rng consumption cannot
+        # depend on the chunk boundaries.  Integer factors need no
+        # per-packet hash at all: the fractional draw is constant-false,
+        # so every packet repeats the same scalar number of times.
         seed = np.uint64(rng.integers(0, 2**63, dtype=np.int64))
         base = int(self.factor)
         fraction = self.factor - base
@@ -982,7 +650,7 @@ class LoadScaleSource(PacketSource):
             return
         # Integer factor: constant per-packet repeat count.  The inner
         # source is still drained even for factor 0 so its randomness is
-        # consumed exactly as the reference consumes it.
+        # consumed exactly as for any other factor.
         for chunk in self.source.iter_chunks(rng, chunk_packets):
             if len(chunk) == 0 or base == 0:
                 continue
@@ -1107,20 +775,13 @@ class TimeWarpSource(PacketSource):
         self,
         rng: np.random.Generator,
         chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
-        *,
-        assembly: str | None = None,
     ) -> Iterator[PacketBatch]:
-        # Fast assembly: a PiecewiseLinearWarp is validated monotone
-        # non-decreasing at construction, so warping a sorted column
-        # keeps it sorted, and its minimum output bounds the warped
-        # times from below — every batch invariant holds by
-        # construction and re-validation is skipped.  Arbitrary warp
-        # callables keep the checked constructor under both backends.
-        trusted = (
-            _resolve_assembly(assembly) == "fast"
-            and isinstance(self.warp, PiecewiseLinearWarp)
-            and float(self.warp.outputs[0]) >= 0.0
-        )
+        # A PiecewiseLinearWarp is validated monotone non-decreasing at
+        # construction, so warping a sorted column keeps it sorted, and
+        # its minimum output bounds the warped times from below: every
+        # batch invariant holds by construction and re-validation is
+        # skipped.  Arbitrary warp callables keep the checked constructor.
+        trusted = isinstance(self.warp, PiecewiseLinearWarp) and float(self.warp.outputs[0]) >= 0.0
         for chunk in self.source.iter_chunks(rng, chunk_packets):
             warped = self.warp(chunk.timestamps)
             if trusted:
@@ -1148,10 +809,7 @@ class TimeWarpSource(PacketSource):
 
 
 __all__ = [
-    "ASSEMBLY_BACKENDS",
     "DEFAULT_CHUNK_PACKETS",
-    "default_assembly",
-    "use_assembly",
     "PacketSource",
     "FlowTraceSource",
     "PacketTableSource",

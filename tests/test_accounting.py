@@ -1,12 +1,13 @@
-"""Columnar flow-accounting engine: equivalence with the object path.
+"""Columnar flow-accounting engine: equivalence with a per-packet table.
 
 The load-bearing guarantee of :mod:`repro.flows.accounting` is that the
-columnar engine is *bit-identical* to the legacy per-packet object path
-— same bins, same rankings, same eviction counts — for any packet
-stream, any chunking, with and without a ``max_flows`` bound.  The
-property-based tests here generate adversarial streams (tiny key
-spaces, colliding counts, binding memory bounds) and assert exactly
-that.
+columnar engine is *bit-identical* to a per-packet monitor over
+:class:`~repro.flows.classifier.FlowClassifier` (the oracle in
+``tests/oracles/table.py``) — same bins, same rankings, same eviction
+counts — for any packet stream, any chunking, with and without a
+``max_flows`` bound.  The property-based tests here generate
+adversarial streams (tiny key spaces, colliding counts, binding memory
+bounds) and assert exactly that.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.flows.keys import (
 from repro.flows.packets import Packet, PacketBatch
 from repro.flows.records import FlowSummary, ranking_sort_key
 from repro.flows.table import BinnedFlowTable
+
+from oracles.table import PerPacketFlowTable
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +72,7 @@ def _columns(five_tuples: list[FiveTuple]):
 
 
 def _run_object_table(timestamps, flow_ids, sizes, five_tuples, policy, max_flows):
-    table = BinnedFlowTable(10.0, key_policy=policy, max_flows=max_flows, backend="object")
+    table = PerPacketFlowTable(10.0, key_policy=policy, max_flows=max_flows)
     for ts, fid, size in zip(timestamps, flow_ids, sizes):
         table.observe(Packet(float(ts), five_tuples[int(fid)], int(size)))
     return table.flush(), table.evictions
@@ -100,7 +103,7 @@ def _accounts_to_bins(accounts: list[BinAccount], encoder) -> list:
 
 
 # ----------------------------------------------------------------------
-# Property: object path == columnar engine, any chunking, any bound
+# Property: per-packet oracle == columnar engine, any chunking, any bound
 # ----------------------------------------------------------------------
 class TestObjectColumnarEquivalence:
     @given(
@@ -147,13 +150,13 @@ class TestObjectColumnarEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_columnar_wrapper_matches_object_backend(self, seed, max_flows):
-        """The default (columnar) BinnedFlowTable backend is bit-identical
-        to the legacy object backend, including mid-stream accessors."""
+        """BinnedFlowTable is bit-identical to the per-packet oracle table,
+        including mid-stream accessors."""
         five_tuples = _flow_universe(10, seed)
         timestamps, flow_ids, sizes = _stream(300, 10, 35.0, seed + 1)
         tables = {
-            backend: BinnedFlowTable(10.0, max_flows=max_flows, backend=backend)
-            for backend in ("columnar", "object")
+            "columnar": BinnedFlowTable(10.0, max_flows=max_flows),
+            "object": PerPacketFlowTable(10.0, max_flows=max_flows),
         }
         for position, (ts, fid, size) in enumerate(zip(timestamps, flow_ids, sizes)):
             packet = Packet(float(ts), five_tuples[int(fid)], int(size))
@@ -382,9 +385,3 @@ class TestClassifierObserveBatch:
         batched.observe_batch(PacketBatch(timestamps, flow_ids, sizes), five_tuples)
         assert batched.export_sorted() == one_by_one.export_sorted()
         assert batched.packets_seen == one_by_one.packets_seen
-
-
-class TestTableBackendValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            BinnedFlowTable(10.0, backend="quantum")

@@ -1,12 +1,14 @@
-"""Property tests: the hash group-by kernel is bit-identical to the sort backend.
+"""Property tests: the hash group-by kernel is bit-identical to a sort group-by.
 
-The hash-accumulator kernel (:mod:`repro.flows.groupby`) replaces the
-reference ``argsort`` + ``reduceat`` group-by on the flow-accounting hot
-path.  Its contract is *bit identity*: for any packet stream, any
-chunking, dense or sparse code spaces, adversarial hash collisions, and
-the :data:`~repro.flows.groupby.EMPTY_SLOT` sentinel code, the engine
-produces exactly the same bins with ``groupby="hash"`` as with
-``groupby="sort"``.  Everything here asserts exactly that, plus the
+The hash-accumulator kernel (:mod:`repro.flows.groupby`) is the
+flow-accounting hot path's group-by.  Its contract is *bit identity*:
+for any packet stream, any chunking, dense or sparse code spaces,
+adversarial hash collisions, and the
+:data:`~repro.flows.groupby.EMPTY_SLOT` sentinel code, the engine
+produces exactly the bins of the whole-stream oracle in
+``tests/oracles/accounting.py``, which groups each bin in one go with
+the stable-sort ``aggregate_codes`` (and replays bounded bins packet by
+packet).  Everything here asserts exactly that, plus the
 kernel-internal paths (dense reservation, deferred byte sums, probing
 collisions) that the engine-level streams may not reach every run.
 """
@@ -14,7 +16,6 @@ collisions) that the engine-level streams may not reach every run.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,25 +29,12 @@ from repro.flows.groupby import (
 )
 from repro.flows.packets import PacketBatch
 
+from oracles.accounting import accounts_identical, reference_accounts
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def accounts_equal(left: list[BinAccount], right: list[BinAccount]) -> bool:
-    """Bit-for-bit equality of two flushed account lists."""
-    if len(left) != len(right):
-        return False
-    for a, b in zip(left, right):
-        if (a.index, a.start_time, a.end_time) != (b.index, b.start_time, b.end_time):
-            return False
-        for field in ("codes", "packets", "bytes", "first_seen", "last_seen"):
-            if not np.array_equal(getattr(a, field), getattr(b, field)):
-                return False
-    return True
-
-
 def run_engine(
-    groupby: str,
     timestamps: np.ndarray,
     flow_ids: np.ndarray,
     sizes: np.ndarray,
@@ -54,7 +42,7 @@ def run_engine(
     chunk: int,
     max_flows: int | None,
 ) -> tuple[list[BinAccount], int]:
-    engine = FlowAccountingEngine(10.0, max_flows=max_flows, groupby=groupby)
+    engine = FlowAccountingEngine(10.0, max_flows=max_flows)
     for low in range(0, timestamps.size, chunk):
         batch = PacketBatch(
             timestamps[low : low + chunk],
@@ -116,14 +104,14 @@ class TestHashSortEquivalence:
         else:
             sizes = rng.integers(40, 1500, n).astype(np.int64)
         mapping = make_mapping(params["style"], params["num_flows"])
-        hash_accounts, hash_evictions = run_engine(
-            "hash", timestamps, flow_ids, sizes, mapping, params["chunk"], params["max_flows"]
+        accounts, evictions = run_engine(
+            timestamps, flow_ids, sizes, mapping, params["chunk"], params["max_flows"]
         )
-        sort_accounts, sort_evictions = run_engine(
-            "sort", timestamps, flow_ids, sizes, mapping, params["chunk"], params["max_flows"]
+        expected, expected_evictions = reference_accounts(
+            timestamps, mapping[flow_ids], sizes, 10.0, max_flows=params["max_flows"]
         )
-        assert accounts_equal(hash_accounts, sort_accounts)
-        assert hash_evictions == sort_evictions
+        assert accounts_identical(accounts, expected)
+        assert evictions == expected_evictions
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), chunk_a=st.integers(1, 64), chunk_b=st.integers(1, 64))
@@ -134,13 +122,9 @@ class TestHashSortEquivalence:
         flow_ids = rng.integers(0, 5, n).astype(np.int64)
         sizes = rng.integers(40, 1500, n).astype(np.int64)
         mapping = make_mapping("colliding", 5)
-        a, _ = run_engine("hash", timestamps, flow_ids, sizes, mapping, chunk_a, None)
-        b, _ = run_engine("hash", timestamps, flow_ids, sizes, mapping, chunk_b, None)
-        assert accounts_equal(a, b)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            FlowAccountingEngine(10.0, groupby="quantum")
+        a, _ = run_engine(timestamps, flow_ids, sizes, mapping, chunk_a, None)
+        b, _ = run_engine(timestamps, flow_ids, sizes, mapping, chunk_b, None)
+        assert accounts_identical(a, b)
 
 
 # ----------------------------------------------------------------------

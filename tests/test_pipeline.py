@@ -474,7 +474,7 @@ class TestMonitorMode:
 
 
 class TestFusedMonitorPass:
-    """The fused sample+account pass is bit-identical to the staged one."""
+    """The fused sample+account pass is bit-identical to the staged oracle."""
 
     def _workload(self, trace, chunk_packets=2048, seed=3):
         from repro.flows.keys import FiveTupleKeyPolicy
@@ -503,13 +503,14 @@ class TestFusedMonitorPass:
         from repro.pipeline.executor import run_monitor_stream
         from repro.sampling import SampleAndHoldSampler
 
+        from oracles.monitor import reference_monitor_stream
+
         samplers = [
             BernoulliSampler(0.2, rng=np.random.default_rng(seed)),
             SampleAndHoldSampler(0.05, rng=np.random.default_rng(seed + 1)),
         ]
-        return run_monitor_stream(
-            iter(chunks), groups, samplers, 60.0, 5, max_flows=max_flows, fused=fused
-        )
+        run = run_monitor_stream if fused else reference_monitor_stream
+        return run(iter(chunks), groups, samplers, 60.0, 5, max_flows=max_flows)
 
     @pytest.mark.parametrize("max_flows", [None, 3])
     def test_fused_matches_unfused(self, small_trace, max_flows):
