@@ -5,6 +5,7 @@ Times the representative workloads of the library — packet expansion,
 the paper's (sampler x run) sweep in serial and in parallel, the
 cold-vs-warm store-backed sweep (``repro.sweep`` over ``repro.store``),
 the leased multi-worker sweep drain against the serial orchestrator,
+shared-truth swapped-pair scoring against its per-top-flow oracle,
 the streaming executor at several chunk sizes, and the source
 throughput of every registered workload scenario — and writes the
 measurements to ``BENCH_pipeline.json`` at the repository root, so that
@@ -45,6 +46,7 @@ import numpy as np  # noqa: E402
 
 from oracles.accounting import accounts_identical, reference_accounts  # noqa: E402
 from oracles.monitor import reference_monitor_stream  # noqa: E402
+from oracles.scoring import reference_swapped_pair_counts  # noqa: E402
 from oracles.sources import reference_chunks  # noqa: E402
 from oracles.table import PerPacketFlowTable  # noqa: E402
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
@@ -58,6 +60,10 @@ from repro.registry import TRACES  # noqa: E402
 
 #: Sampling rates of the paper's trace-driven sweep (Figs. 12-15).
 SWEEP_RATES = (0.001, 0.01, 0.1, 0.5)
+
+#: Interleaved trials of each scoring side (``bench_scoring``).
+SCORING_TRIALS = 9
+SCORING_TRIALS_QUICK = 5
 
 #: Iterations of the telemetry guard-cost loop (``bench_telemetry``).
 GUARD_ITERATIONS = 200_000
@@ -438,6 +444,103 @@ def bench_monitor(args: argparse.Namespace) -> dict:
     }
 
 
+def _median_iqr(values) -> tuple[float, float]:
+    low, median, high = np.percentile(values, [25, 50, 75])
+    return float(median), float(high - low)
+
+
+def bench_scoring(args: argparse.Namespace) -> dict:
+    """Swapped-pair scoring of the sweep's real bins: shared truth vs oracle.
+
+    Expands the sprint trace, bins it by 60 s and five-tuple, and samples
+    every bin with the sweep's (rate x run) Bernoulli streams.  The
+    library side scores each bin's streams against one shared
+    ``TopFlows``, as the executors do; the oracle side
+    (``tests/oracles/scoring.py``) re-sorts the true counts and loops
+    over the top flows for every stream.  The two must agree on every
+    (bin, stream) count.  Each trial times both sides over all bins, in
+    alternating order; the section records the median and IQR of each
+    side's time and of the per-trial speedup.
+    """
+    from repro.sampling import BernoulliSampler
+    from repro.simulation.binning import build_bin_layouts
+    from repro.simulation.evaluation import TopFlows, swapped_pair_counts
+    from repro.traces.expansion import expand_to_packets
+
+    top_t = 10
+    generator = TRACES.create("sprint", scale=args.scale, duration=args.duration)
+    trace = generator.generate(rng=np.random.default_rng(args.seed))
+    batch = expand_to_packets(
+        trace, np.random.default_rng(args.seed), clip_to_duration=trace.duration
+    )
+    layouts = build_bin_layouts(batch, trace.group_ids(FiveTupleKeyPolicy()), 60.0)
+    masks = [
+        np.asarray(
+            BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index)).sample_mask(
+                batch
+            ),
+            dtype=bool,
+        )
+        for index, rate in enumerate(rate for rate in SWEEP_RATES for _ in range(args.runs))
+    ]
+    bins = [
+        (
+            layout.original_counts,
+            [layout.sampled_counts(mask[layout.packet_slice]) for mask in masks],
+        )
+        for layout in layouts
+    ]
+
+    def shared():
+        counts = []
+        for original, streams in bins:
+            truth = TopFlows(original, top_t)
+            counts.extend(
+                swapped_pair_counts(original, sampled, top_t, truth=truth)
+                for sampled in streams
+            )
+        return counts
+
+    def oracle():
+        return [
+            reference_swapped_pair_counts(original, sampled, top_t)
+            for original, streams in bins
+            for sampled in streams
+        ]
+
+    identical = shared() == oracle()
+    if not identical:
+        raise SystemExit(
+            "FATAL: shared-truth scoring diverges from the per-top-flow oracle — "
+            "scoring regression"
+        )
+    trials = SCORING_TRIALS_QUICK if args.quick else SCORING_TRIALS
+    shared_times: list[float] = []
+    oracle_times: list[float] = []
+    for trial in range(trials):
+        sides = [(shared, shared_times), (oracle, oracle_times)]
+        for side, times in sides if trial % 2 == 0 else sides[::-1]:
+            times.append(_timed(side)[0])
+    shared_median, shared_iqr = _median_iqr(shared_times)
+    oracle_median, oracle_iqr = _median_iqr(oracle_times)
+    speedup_median, speedup_iqr = _median_iqr(
+        [reference / fast for reference, fast in zip(oracle_times, shared_times)]
+    )
+    return {
+        "bins": len(bins),
+        "streams": len(masks),
+        "flows_per_bin": round(float(np.mean([original.size for original, _ in bins])), 1),
+        "trials": trials,
+        "shared_seconds": round(shared_median, 5),
+        "shared_iqr_seconds": round(shared_iqr, 5),
+        "reference_seconds": round(oracle_median, 5),
+        "reference_iqr_seconds": round(oracle_iqr, 5),
+        "speedup": round(speedup_median, 3),
+        "speedup_iqr": round(speedup_iqr, 3),
+        "bit_identical": identical,
+    }
+
+
 def bench_end_to_end(args: argparse.Namespace) -> dict:
     """End-to-end pipeline throughput: source -> samplers -> accounting.
 
@@ -786,6 +889,15 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{monitor['packets']:,} packets: unfused {monitor['unfused_seconds']}s vs "
             f"fused {monitor['fused_seconds']}s -> {monitor['fused_speedup']}x (bit-identical)"
+        )
+
+    if wanted("scoring"):
+        print(f"scoring     ... ", end="", flush=True)
+        report["results"]["scoring"] = scoring = bench_scoring(args)
+        print(
+            f"{scoring['bins']} bins x {scoring['streams']} streams: reference "
+            f"{scoring['reference_seconds']}s vs shared truth {scoring['shared_seconds']}s "
+            f"-> {scoring['speedup']}x (IQR {scoring['speedup_iqr']}, bit-identical)"
         )
 
     if wanted("end_to_end"):

@@ -55,7 +55,7 @@ True
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +64,7 @@ from .. import telemetry
 from ..flows.accounting import BinAccount, FlowAccountingEngine, bin_segments
 from ..flows.packets import PacketBatch
 from ..sampling.base import PacketSampler
-from ..simulation.evaluation import swapped_pair_counts
+from ..simulation.evaluation import TopFlows, swapped_pair_counts
 from ..simulation.results import MetricSeries
 
 # The chunked expansion now lives with the PacketSource abstraction in
@@ -122,6 +122,28 @@ class StreamOutcome:
     detection_values: np.ndarray  # (num_streams, num_bins)
 
 
+def _score_streams(
+    original: np.ndarray, sampled_rows: Sequence[np.ndarray], top_t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranking and detection swapped pairs of every stream of one bin.
+
+    The bin's true top-t flows and their size comparisons do not depend
+    on the stream, so one :class:`~repro.simulation.evaluation.TopFlows`
+    serves every row of ``sampled_rows``.
+    """
+    truth = TopFlows(original, top_t)
+    ranking_row = np.empty(len(sampled_rows), dtype=float)
+    detection_row = np.empty(len(sampled_rows), dtype=float)
+    for stream, sampled in enumerate(sampled_rows):
+        counts = swapped_pair_counts(original, sampled, top_t, truth=truth)
+        ranking_row[stream] = counts.ranking
+        detection_row[stream] = counts.detection
+    if telemetry.enabled:
+        telemetry.count("score.ranking_pairs", int(ranking_row.sum()))
+        telemetry.count("score.detection_pairs", int(detection_row.sum()))
+    return ranking_row, detection_row
+
+
 def run_stream(
     chunks: Iterable[PacketBatch],
     group_of_flow: np.ndarray,
@@ -173,12 +195,8 @@ def run_stream(
 
     def _finalise(index: int) -> None:
         state = open_bins.pop(index)
-        ranking_row = np.empty(num_streams, dtype=float)
-        detection_row = np.empty(num_streams, dtype=float)
-        for stream in range(num_streams):
-            counts = swapped_pair_counts(state.original, state.sampled[stream], top_t)
-            ranking_row[stream] = counts.ranking
-            detection_row[stream] = counts.detection
+        with telemetry.span("stream.score"):
+            ranking_row, detection_row = _score_streams(state.original, state.sampled, top_t)
         completed.append((index, state.keys.size, ranking_row, detection_row))
 
     total_packets = 0
@@ -348,22 +366,24 @@ def run_monitor_stream(
     pending: list[dict[int, BinAccount]] = [{} for _ in range(num_streams)]
     completed: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
+    def _sampled_counts(account: BinAccount, stream: int) -> np.ndarray:
+        """One stream's sampled counts of the truth account's flows."""
+        monitor_account = pending[stream].pop(account.index, None)
+        if monitor_account is None:
+            return np.zeros(account.codes.size, dtype=np.int64)
+        return monitor_account.counts_for(account.codes)
+
     def _score(account: BinAccount) -> None:
-        for stream in range(num_streams):
-            monitors[stream].close_until(account.index + 1)
-            for closed in monitors[stream].drain_completed():
-                pending[stream][closed.index] = closed
-        ranking_row = np.empty(num_streams, dtype=float)
-        detection_row = np.empty(num_streams, dtype=float)
-        for stream in range(num_streams):
-            monitor_account = pending[stream].pop(account.index, None)
-            if monitor_account is None:
-                sampled = np.zeros(account.codes.size, dtype=np.int64)
-            else:
-                sampled = monitor_account.counts_for(account.codes)
-            counts = swapped_pair_counts(account.packets, sampled, top_t)
-            ranking_row[stream] = counts.ranking
-            detection_row[stream] = counts.detection
+        with telemetry.span("monitor.score"):
+            for stream in range(num_streams):
+                monitors[stream].close_until(account.index + 1)
+                for closed in monitors[stream].drain_completed():
+                    pending[stream][closed.index] = closed
+            ranking_row, detection_row = _score_streams(
+                account.packets,
+                [_sampled_counts(account, stream) for stream in range(num_streams)],
+                top_t,
+            )
         completed.append((account.index, account.num_flows, ranking_row, detection_row))
 
     group_low = int(groups.min()) if groups.size else 0

@@ -3,6 +3,7 @@
 from .binning import BinLayout, build_bin_layouts
 from .evaluation import (
     SwappedPairCounts,
+    TopFlows,
     detection_pair_budget,
     ranking_pair_budget,
     swapped_pair_counts,
@@ -20,6 +21,7 @@ __all__ = [
     "BinLayout",
     "build_bin_layouts",
     "SwappedPairCounts",
+    "TopFlows",
     "swapped_pair_counts",
     "ranking_pair_budget",
     "detection_pair_budget",

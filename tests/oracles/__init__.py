@@ -12,8 +12,15 @@ runs it:
   :class:`~repro.flows.classifier.FlowClassifier` for
   :class:`~repro.flows.table.BinnedFlowTable`;
 * :mod:`oracles.monitor` — the staged, validating monitor pass for
-  :func:`~repro.pipeline.executor.run_monitor_stream`.
+  :func:`~repro.pipeline.executor.run_monitor_stream`;
+* :mod:`oracles.scoring` — per-top-flow swapped-pair counting, which
+  re-sorts the true counts on every call, for
+  :func:`~repro.simulation.evaluation.swapped_pair_counts`.
 
 Test modules import them as ``oracles.<name>`` (pytest puts ``tests/``
 on ``sys.path``); ``benchmarks/harness.py`` adds ``tests/`` itself.
 """
+
+from .scoring import reference_swapped_pair_counts
+
+__all__ = ["reference_swapped_pair_counts"]

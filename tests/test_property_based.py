@@ -13,6 +13,7 @@ from repro.core.optimal_rate import optimal_rate_gaussian
 from repro.distributions import DiscreteFlowSizes, ParetoFlowSizes
 from repro.flows.keys import int_to_ip, ip_to_int, prefix_of
 from repro.simulation.evaluation import (
+    TopFlows,
     detection_pair_budget,
     ranking_pair_budget,
     swapped_pair_counts,
@@ -80,6 +81,38 @@ class TestMetricProperties:
         counts = swapped_pair_counts(original_arr, sampled, t)
         assert counts.ranking == ranking_swapped_pairs(original_arr, sampled, t)
         assert counts.detection == detection_swapped_pairs(original_arr, sampled, t)
+
+    @given(
+        original=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=30),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shared_truth_matches_reference_on_ties(self, original, data):
+        # Tie-heavy sizes, sampled counts with zeros and above the
+        # original, and top_t outside [1, n] (clamped by the kernel).
+        n = len(original)
+        original_arr = np.array(original)
+        top_t = data.draw(st.integers(min_value=0, max_value=n + 5))
+        streams = data.draw(
+            st.lists(
+                st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        t = min(max(top_t, 1), n)
+        truth = TopFlows(original_arr, top_t)
+        for stream in streams:
+            sampled = np.array(stream)
+            ranking = ranking_swapped_pairs(original_arr, sampled, t)
+            detection = detection_swapped_pairs(original_arr, sampled, t)
+            for shared in (truth, None):
+                counts = swapped_pair_counts(original_arr, sampled, top_t, truth=shared)
+                assert (counts.ranking, counts.detection, counts.top_t) == (
+                    ranking,
+                    detection,
+                    t,
+                )
 
     @given(
         original=st.lists(st.integers(min_value=1, max_value=200), min_size=2, max_size=25),

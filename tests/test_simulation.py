@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.pipeline.executor as executor_module
 from repro.core.metrics import detection_swapped_pairs, ranking_swapped_pairs
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.flows.packets import PacketBatch
+from repro.pipeline import Pipeline
 from repro.simulation import (
     MetricSeries,
     SimulationConfig,
+    TopFlows,
     build_bin_layouts,
     detection_pair_budget,
     ranking_pair_budget,
@@ -18,6 +21,8 @@ from repro.simulation import (
     swapped_pair_counts,
 )
 from repro.traces import SyntheticTraceGenerator, sprint_like_config
+
+from oracles import reference_swapped_pair_counts
 
 
 class TestBinLayouts:
@@ -92,6 +97,61 @@ class TestVectorisedMetrics:
         counts = swapped_pair_counts(original, original, top_t=3)
         assert counts.ranking == 0
         assert counts.detection == 0
+
+
+class TestSharedTruth:
+    def test_real_pipeline_bins_match_the_oracle(self, monkeypatch):
+        """Every bin of a 40-stream sprint run, scored with one shared truth."""
+        scored = []
+        library = executor_module.swapped_pair_counts
+
+        def recording(original, sampled, top_t, truth=None):
+            counts = library(original, sampled, top_t, truth=truth)
+            scored.append((original, sampled.copy(), top_t, truth, counts))
+            return counts
+
+        monkeypatch.setattr(executor_module, "swapped_pair_counts", recording)
+        result = (
+            Pipeline()
+            .with_trace("sprint", scale=0.03, duration=120)
+            .with_sampling_rates((0.001, 0.01, 0.1, 0.5))
+            .with_bin_duration(60.0)
+            .with_top(10)
+            .with_runs(10)
+            .with_seed(3)
+            .run(parallel="serial")
+        )
+        num_bins = next(iter(result.ranking.values())).values.shape[1]
+        truths = {id(truth): truth for _, _, _, truth, _ in scored}
+        assert None not in truths.values()
+        assert len(truths) == num_bins
+        assert len(scored) == 40 * num_bins
+        assert max(original.size for original, *_ in scored) >= 2000
+        for original, sampled, top_t, _, counts in scored:
+            assert counts == reference_swapped_pair_counts(original, sampled, top_t)
+
+    def test_mismatched_truth_rejected(self):
+        original = np.array([9, 7, 7, 3, 1])
+        sampled = np.array([4, 3, 3, 1, 0])
+        truth = TopFlows(original, 2)
+        with pytest.raises(ValueError, match="truth"):
+            swapped_pair_counts(original, sampled, 3, truth=truth)
+        with pytest.raises(ValueError, match="truth"):
+            swapped_pair_counts(np.array([9, 7, 8, 3, 1]), sampled, 2, truth=truth)
+        with pytest.raises(ValueError, match="truth"):
+            swapped_pair_counts(original[:4], sampled[:4], 2, truth=truth)
+
+    def test_truth_for_an_equivalent_top_t_accepted(self):
+        original = np.array([5, 3])
+        truth = TopFlows(original, 10)
+        counts = swapped_pair_counts(original, np.array([0, 1]), 2, truth=truth)
+        assert counts == swapped_pair_counts(original, np.array([0, 1]), 10)
+
+    def test_truth_validates_counts(self):
+        with pytest.raises(ValueError):
+            TopFlows(np.array([0, 2]), 1)
+        with pytest.raises(ValueError):
+            TopFlows(np.ones((2, 2), dtype=int), 1)
 
 
 class TestMetricSeries:

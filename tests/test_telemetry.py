@@ -308,6 +308,33 @@ class TestBitIdentityOnVsOff:
         assert key_on == key_off
 
 
+class TestScoringTelemetry:
+    @pytest.mark.parametrize("monitor", [False, True], ids=["stream", "monitor"])
+    def test_one_score_span_per_bin_and_pair_counters(self, small_trace, monitor):
+        def build() -> Pipeline:
+            pipeline = _pipeline(small_trace)
+            return pipeline.with_monitor(max_flows=64) if monitor else pipeline
+
+        baseline = build().run(parallel="serial").to_dict()
+        with telemetry.use_telemetry():
+            result = build().run(parallel="serial")
+            snap = telemetry.snapshot()
+        assert result.to_dict() == baseline
+        num_bins = next(iter(result.ranking.values())).values.shape[1]
+        prefix = "monitor" if monitor else "stream"
+        assert snap["spans"][f"{prefix}.score"]["count"] == num_bins
+        for problem in ("ranking", "detection"):
+            pairs = sum(int(series.values.sum()) for series in getattr(result, problem).values())
+            assert pairs > 0
+            assert snap["counters"][f"score.{problem}_pairs"] == pairs
+
+    def test_disabled_run_records_no_scoring(self, small_trace):
+        _pipeline(small_trace).run(parallel="serial")
+        snap = telemetry.snapshot()
+        assert "stream.score" not in snap["spans"]
+        assert "score.ranking_pairs" not in snap["counters"]
+
+
 # ----------------------------------------------------------------------
 # Store: event bus and counters
 # ----------------------------------------------------------------------
